@@ -1,8 +1,7 @@
 (* Multicore scaling measurements for the lib/par execution layer.
 
    Times the sequential engines against their sharded/parallel
-   counterparts at several job counts, measures the memoized
-   inclusion–exclusion cache behaviour, and writes everything to
+   counterparts at several job counts and writes everything to
    BENCH_PAR.json (override with INCDB_BENCH_PAR_OUT).  The host core
    count is recorded alongside the wall times: on a single-core machine
    the parallel runs measure scheduling overhead, not speedup, and the
@@ -111,47 +110,6 @@ let karp_luby_row ?(n = 20) ?(d = 10) ?(samples = 50_000) () =
     (Printf.sprintf "%.6g" !est)
     times
 
-(* Memoized vs unmemoized inclusion–exclusion, with cache hit rates
-   measured under obs collection. *)
-let memo_row ?(n = 4) ?(d = 4) () =
-  (* R(x,x) yields one event per (fact, diagonal value): n facts over a
-     d-value domain = n*d events, which must stay under the m <= 20
-     inclusion-exclusion ceiling. *)
-  let db = Instances.diagonal_codd n d in
-  let q = Query.Bcq (Cq.of_string "R(x,x)") in
-  let n_memo, t_memo =
-    Instances.time (fun () ->
-        Incdb_approx.Karp_luby.exact_via_events ~memo:true q db)
-  in
-  let n_ref, t_ref =
-    Instances.time (fun () ->
-        Incdb_approx.Karp_luby.exact_via_events ~memo:false q db)
-  in
-  assert (Nat.equal n_memo n_ref);
-  (* Counter deltas, not a registry reset: the experiments' metrics are
-     still pending export to BENCH_OBS.json when this section runs. *)
-  let hits, misses =
-    let v name = Incdb_obs.Metrics.value (Incdb_obs.Metrics.counter name) in
-    let h0 = v "karp_luby.iex_cache_hits"
-    and m0 = v "karp_luby.iex_cache_misses" in
-    Incdb_obs.Runtime.set_enabled true;
-    ignore (Incdb_approx.Karp_luby.exact_via_events ~memo:true q db);
-    Incdb_obs.Runtime.set_enabled false;
-    (v "karp_luby.iex_cache_hits" - h0, v "karp_luby.iex_cache_misses" - m0)
-  in
-  let rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  Printf.printf
-    "  memoized IE    (%d events):         memo %.3fs  reference %.3fs  \
-     (%.1fx, term-size cache hit rate %.1f%%)\n%!"
-    (n * d) t_memo t_ref (t_ref /. t_memo) (100. *. rate);
-  Printf.sprintf
-    "    { \"section\": \"memo_ie:diagonal-codd-%d-events\", \"result\": %S,\n\
-    \      \"memo_seconds\": %.6f, \"reference_seconds\": %.6f,\n\
-    \      \"speedup_vs_reference\": %.3f,\n\
-    \      \"cache_hits\": %d, \"cache_misses\": %d, \"hit_rate\": %.4f }"
-    (n * d) (Nat.to_string n_memo) t_memo t_ref (t_ref /. t_memo) hits misses
-    rate
-
 (* ------------------------------------------------------------------ *)
 
 let run () =
@@ -163,8 +121,7 @@ let run () =
   let r1 = brute_val_row () in
   let r2 = brute_comp_row () in
   let r3 = karp_luby_row () in
-  let r4 = memo_row () in
-  let rows = [ r1; r2; r3; r4 ] in
+  let rows = [ r1; r2; r3 ] in
   Buffer.clear buf;
   Buffer.add_string buf "{\n  \"schema_version\": 1,\n";
   Buffer.add_string buf
@@ -189,5 +146,4 @@ let smoke () =
   let (_ : string) = brute_val_row ~n:2 ~d:3 () in
   let (_ : string) = brute_comp_row ~n:2 ~d:3 () in
   let (_ : string) = karp_luby_row ~n:5 ~d:4 ~samples:2_000 () in
-  let (_ : string) = memo_row ~n:3 ~d:3 () in
   ()

@@ -28,7 +28,7 @@ let db_arg =
   Arg.(required & opt (some file) None & info [ "db" ] ~docv:"FILE" ~doc)
 
 let load_db path =
-  Incdb_obs.Trace.with_span "idbcount.load_db" (fun () ->
+  Incdb_obs.Events.with_span "idbcount.load_db" (fun () ->
       try Ok (Idb_parser.of_file path)
       with Invalid_argument msg -> Error msg)
 
@@ -171,14 +171,6 @@ let handle_limits ?(what = "this query/database pair") f =
        the offending limit (--comp-width-bound, --max-candidates, \
        --brute-limit).\n"
       (Comp_kernel.infeasible_to_string reason);
-    raise Cli_error
-  | Lineage.Too_many_clauses { clauses; limit } ->
-    Printf.eprintf
-      "error: the compiled lineage has %d clauses, more than one conflict \
-       mask word holds (limit %d).\n\
-       Use `idbcount approx` (sampling does not build conflict masks) or \
-       a smaller instance.\n"
-      clauses limit;
     raise Cli_error
 
 (* The #Val lineage-elimination kernel knobs, shared by count/approx. *)
@@ -349,8 +341,8 @@ let count_cmd =
   let comp_elim =
     let doc =
       "The #Comp lineage-elimination arm: auto (the default; used \
-       whenever a sweep plan compiles and the candidate enumerator does \
-       not apply), off (restore the pre-kernel dispatch), or force \
+       whenever a sweep plan compiles, before the candidate enumerator), \
+       off (skip it: candidate enumerator, then brute force), or force \
        (require the kernel; a declined instance is a hard error instead \
        of a fallback)."
     in

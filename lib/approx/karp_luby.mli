@@ -99,21 +99,10 @@ exception Sample_budget_overflow of { epsilon : float; events : int }
 val samples_for : epsilon:float -> events:int -> int
 
 (** [exact_via_events q db] computes [#Val] exactly by inclusion–exclusion
-    over the events — exponential in the number of events, used in tests
-    and benchmarks as an independent oracle for the event construction
-    (the dispatcher's exact path for unions now runs through the
-    [Val_kernel] variable-elimination counter instead).
-
-    With [memo] (the default), subset terms are shared: subset validity
-    is one [land] against precomputed pairwise-conflict masks
-    ({!Incdb_cq.Lineage.conflict_masks} — an invalid subset invalidates
-    all its supersets), the fixed-null set of a subset is the [lor] of
-    its events' fixed-slot masks, and term sizes are cached keyed on that
-    mask, with [karp_luby.iex_cache_hits]/[..._misses] counters recording
-    the sharing.  Tables with more nulls than fit one mask word use
-    {!Incdb_bignum.Bitset.Wide} fixed-null masks with the same sharing
-    classes; the [iex.mask_repr] gauge records the words per mask (1 on
-    the single-word path), so the representation choice is observable.
-    [~memo:false] recomputes every subset from scratch; all paths return
-    identical counts. *)
-val exact_via_events : ?memo:bool -> Query.t -> Idb.t -> Nat.t
+    over the events, merging the partial valuations of each of the 2^m
+    event subsets from scratch — exponential in the number of events,
+    used by [fuzz] and the tests as an independent oracle for the event
+    construction (no dispatcher calls it: the exact path for unions runs
+    through the [Val_kernel] variable-elimination counter).
+    @raise Invalid_argument with more than 20 events. *)
+val exact_via_events : Query.t -> Idb.t -> Nat.t

@@ -25,7 +25,7 @@ let hard_patterns (s : Setting.t) =
   | Setting.Completions, Setting.Non_uniform, _ -> [ Cq.q_rx ]
   | Setting.Completions, Setting.Uniform, _ -> [ Cq.q_rxx; Cq.q_rxy ]
 
-module Trace = Incdb_obs.Trace
+module Events = Incdb_obs.Events
 module Metrics = Incdb_obs.Metrics
 
 (* Classification is pure in (setting, query), and the pattern search it
@@ -91,7 +91,7 @@ let exact_uncached (s : Setting.t) q =
 
 let exact (s : Setting.t) q =
   check_sjf q;
-  Trace.with_span "classify.exact" (fun () ->
+  Events.with_span "classify.exact" (fun () ->
       let key = Setting.to_string s ^ "|" ^ Cq.to_string q in
       match
         Mutex.protect cache_lock (fun () -> Hashtbl.find_opt verdict_cache key)

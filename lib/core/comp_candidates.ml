@@ -74,7 +74,6 @@ let () =
            universe limit)
     | _ -> None)
 
-module Trace = Incdb_obs.Trace
 module Metrics = Incdb_obs.Metrics
 module Events = Incdb_obs.Events
 
@@ -318,7 +317,7 @@ let count_wide ?query ~jobs ~universe ~m db =
     | None -> (All, [||])
     | Some q -> (
       match
-        Trace.with_span "count_comp.lineage_compile" (fun () ->
+        Events.with_span "count_comp.lineage_compile" (fun () ->
             Lineage.Wide.compile q universe)
       with
       | Some l -> (Dnf (Lineage.Wide.is_negated l), Lineage.Wide.clauses l)
@@ -380,7 +379,7 @@ let count ?query ?(max_candidates = default_max_candidates) ?(jobs = 1)
     match universe with
     | Some u -> u
     | None -> (
-      Trace.with_span "count_comp.candidate_generation" (fun () ->
+      Events.with_span "count_comp.candidate_generation" (fun () ->
           match universe_within db ~limit:max_candidates with
           | Some u -> u
           | None ->
@@ -409,17 +408,17 @@ let count ?query ?(max_candidates = default_max_candidates) ?(jobs = 1)
   Metrics.set mask_width (float_of_int m);
   if wide then Metrics.incr wide_dispatch;
   if wide then
-    Trace.with_span "count_comp.mask_enumeration" (fun () ->
+    Events.with_span "count_comp.mask_enumeration" (fun () ->
         count_wide ?query ~jobs ~universe ~m db)
   else
-  Trace.with_span "count_comp.mask_enumeration" (fun () ->
+  Events.with_span "count_comp.mask_enumeration" (fun () ->
       let kernel0 = Codd.kernel db ~universe in
       let sat_mode, clauses =
         match query with
         | None -> (All, [||])
         | Some q -> (
           match
-            Trace.with_span "count_comp.lineage_compile" (fun () ->
+            Events.with_span "count_comp.lineage_compile" (fun () ->
                 Lineage.compile q universe)
           with
           | Some l -> (Dnf (Lineage.is_negated l), Lineage.clauses l)
@@ -468,7 +467,7 @@ let count_reference ?query ?(max_candidates = 22) db =
   if not (Idb.is_codd db) then
     invalid_arg "Comp_candidates.count: requires a Codd table";
   let universe =
-    Trace.with_span "count_comp.candidate_generation" (fun () ->
+    Events.with_span "count_comp.candidate_generation" (fun () ->
         Array.of_list (candidate_facts db))
   in
   let m = Array.length universe in

@@ -34,7 +34,6 @@ open Incdb_incomplete
 open Incdb_relational
 module Metrics = Incdb_obs.Metrics
 module Events = Incdb_obs.Events
-module Trace = Incdb_obs.Trace
 module WB = Bitset.Wide
 
 type choice = Auto | Off | Force
@@ -454,7 +453,7 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
 let plan ?query ?(width_bound = default_width_bound)
     ?(max_branches = default_max_branches)
     ?(max_universe = default_max_universe) db =
-  Trace.with_span "comp_kernel.plan" (fun () ->
+  Events.with_span "comp_kernel.plan" (fun () ->
       try Ok (build ?query ~width_bound ~max_branches ~max_universe db)
       with Infeasible i -> Error i)
 
@@ -536,7 +535,7 @@ let memos_length ms =
 
 let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
     ?(cache = true) ?memos ?spill_dir ?jobs:_ p =
-  Trace.with_span "comp_kernel.run" (fun () ->
+  Events.with_span "comp_kernel.run" (fun () ->
       Metrics.incr elim_dispatch;
       Metrics.set elim_width_gauge (float_of_int p.width);
       if p.nshared > 0 then Metrics.incr cond_branches ~by:p.nbranches;

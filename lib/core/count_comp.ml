@@ -389,7 +389,7 @@ let applicable query db =
   | Some q ->
     List.for_all (fun (a : Cq.atom) -> Array.length a.Cq.vars = 1) q
 
-module Trace = Incdb_obs.Trace
+module Events = Incdb_obs.Events
 module Log = Incdb_obs.Log
 
 (* Dispatch routes carry the work the probe already did: the enumerator
@@ -401,89 +401,92 @@ type route =
   | R_elim of Comp_kernel.plan
   | R_brute
 
-(* Policy: the Theorem 4.6 closed enumeration when it applies; the
-   candidate enumerator when the table is Codd and its universe fits the
-   cap (it wins on small universes: no plan, no state interning); then
-   the elimination kernel whenever it can compile a plan — in particular
-   on every feasible non-Codd instance, which previously went straight
-   to brute force; brute force as the last resort.  [Force] requires the
-   kernel — it overrides every other arm, the closed form included, and
-   makes plan failures loud instead of falling back; [Off] restores the
-   pre-kernel policy.  The probe grounds at most [max_candidates + 1]
-   facts (early exit) and returns the materialized work so counting does
-   not repeat it. *)
-let dispatch_route ?(max_candidates = Comp_candidates.default_max_candidates)
-    ~comp_elim ?comp_width_bound query db =
-  Trace.with_span "count_comp.pattern_match" (fun () ->
+(* Where the dispatcher goes without the kernel: the candidate
+   enumerator for a Codd table whose universe fits the cap, else brute
+   force.  The probe grounds at most [max_candidates + 1] facts (early
+   exit) and keeps the universe, so counting does not ground it again. *)
+let enum_or_brute ?(max_candidates = Comp_candidates.default_max_candidates)
+    db =
+  match
+    if Idb.is_codd db then
+      Comp_candidates.universe_within db ~limit:max_candidates
+    else None
+  with
+  | Some u -> R_enum u
+  | None -> R_brute
+
+(* Policy: the Theorem 4.6 closed enumeration when it applies; then the
+   elimination kernel whenever it can compile a plan; when the plan
+   declines (on width, e.g. 17 or more nulls sharing one domain),
+   [enum_or_brute].  The kernel goes before the enumerator because it
+   is about as fast on small Codd universes and far faster on large
+   ones (docs/TUTORIAL.md §11.2 has the measurements).  [Force]
+   requires the kernel — it overrides every other arm, the closed form
+   included, and makes plan failures loud instead of falling back;
+   [Off] skips it. *)
+let dispatch_route ?max_candidates ~comp_elim ?comp_width_bound query db =
+  Events.with_span "count_comp.pattern_match" (fun () ->
       if comp_elim <> Comp_kernel.Force && applicable query db then R_uniform
-      else begin
-        let plan_query = Option.map (fun q -> Query.Bcq q) query in
-        let try_elim fallback =
+      else
+        match comp_elim with
+        | Comp_kernel.Off -> enum_or_brute ?max_candidates db
+        | Comp_kernel.Auto | Comp_kernel.Force -> (
           match
-            Comp_kernel.plan ?query:plan_query ?width_bound:comp_width_bound db
+            Comp_kernel.plan
+              ?query:(Option.map (fun q -> Query.Bcq q) query)
+              ?width_bound:comp_width_bound db
           with
           | Ok p -> R_elim p
-          | Error i -> fallback i
-        in
-        match comp_elim with
-        | Comp_kernel.Force ->
-          try_elim (fun i -> raise (Comp_kernel.Infeasible i))
-        | (Comp_kernel.Auto | Comp_kernel.Off) as c -> (
-          let enum =
-            if Idb.is_codd db then
-              Comp_candidates.universe_within db ~limit:max_candidates
-            else None
-          in
-          match enum with
-          | Some u -> R_enum u
-          | None ->
-            if c = Comp_kernel.Auto then try_elim (fun _ -> R_brute)
-            else R_brute)
-      end)
+          | Error i when comp_elim = Comp_kernel.Force ->
+            raise (Comp_kernel.Infeasible i)
+          | Error _ -> enum_or_brute ?max_candidates db))
 
 (* Shared back half of [count]/[count_all]: run the routed engine, with
-   the elimination arm falling back to brute force if the DP outgrows
-   its state budget mid-run under [Auto] (mirrors the #Val kernel's
-   conditioning fallback). *)
+   the elimination arm falling back to [enum_or_brute] if the DP
+   outgrows its state budget mid-run under [Auto] (mirrors the #Val
+   kernel's conditioning fallback). *)
 let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
     ?comp_max_cells ?comp_max_states ?(comp_cache = true) ?comp_memos
     ?comp_spill_dir query db route =
-  let brute () =
-    Trace.with_span "count_comp.completion_dedup" (fun () ->
-        match query with
-        | Some q ->
-          Incdb_par.Brute_par.count_completions ?limit:brute_limit ~jobs
-            (Query.Bcq q) db
-        | None ->
-          Incdb_par.Brute_par.count_all_completions ?limit:brute_limit ~jobs db)
+  let rec go = function
+    | R_uniform ->
+      ( Uniform_unary,
+        Events.with_span "count_comp.uniform_unary" (fun () ->
+            uniform_unary ?query db) )
+    | R_enum universe ->
+      ( Candidate_enumeration,
+        Events.with_span "count_comp.candidate_enumeration" (fun () ->
+            Comp_candidates.count
+              ?query:(Option.map (fun q -> Query.Bcq q) query)
+              ?max_candidates ~jobs ?mask ~universe db) )
+    | R_elim plan -> (
+      match
+        Events.with_span "count_comp.lineage_elimination" (fun () ->
+            Comp_kernel.run ?max_states:comp_max_states
+              ?max_cells:comp_max_cells ~cache:comp_cache ?memos:comp_memos
+              ?spill_dir:comp_spill_dir ~jobs plan)
+      with
+      | n -> (Lineage_elimination, n)
+      | exception Comp_kernel.Infeasible _ when comp_elim <> Comp_kernel.Force
+        ->
+        go (enum_or_brute ?max_candidates db))
+    | R_brute ->
+      ( Brute_force,
+        Events.with_span "count_comp.completion_dedup" (fun () ->
+            match query with
+            | Some q ->
+              Incdb_par.Brute_par.count_completions ?limit:brute_limit ~jobs
+                (Query.Bcq q) db
+            | None ->
+              Incdb_par.Brute_par.count_all_completions ?limit:brute_limit
+                ~jobs db) )
   in
-  match route with
-  | R_uniform ->
-    ( Uniform_unary,
-      Trace.with_span "count_comp.uniform_unary" (fun () ->
-          uniform_unary ?query db) )
-  | R_enum universe ->
-    ( Candidate_enumeration,
-      Trace.with_span "count_comp.candidate_enumeration" (fun () ->
-          Comp_candidates.count
-            ?query:(Option.map (fun q -> Query.Bcq q) query)
-            ?max_candidates ~jobs ?mask ~universe db) )
-  | R_elim plan -> (
-    match
-      Trace.with_span "count_comp.lineage_elimination" (fun () ->
-          Comp_kernel.run ?max_states:comp_max_states ?max_cells:comp_max_cells
-            ~cache:comp_cache ?memos:comp_memos ?spill_dir:comp_spill_dir ~jobs
-            plan)
-    with
-    | n -> (Lineage_elimination, n)
-    | exception Comp_kernel.Infeasible _ when comp_elim <> Comp_kernel.Force ->
-      (Brute_force, brute ()))
-  | R_brute -> (Brute_force, brute ())
+  go route
 
 let count ?brute_limit ?max_candidates ?(jobs = 1) ?mask
     ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
     ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir q db =
-  Trace.with_span "count_comp.count" (fun () ->
+  Events.with_span "count_comp.count" (fun () ->
       let route =
         dispatch_route ?max_candidates ~comp_elim ?comp_width_bound (Some q) db
       in
@@ -499,7 +502,7 @@ let count ?brute_limit ?max_candidates ?(jobs = 1) ?mask
 let count_all ?brute_limit ?max_candidates ?(jobs = 1) ?mask
     ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
     ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir db =
-  Trace.with_span "count_comp.count" (fun () ->
+  Events.with_span "count_comp.count" (fun () ->
       let route =
         dispatch_route ?max_candidates ~comp_elim ?comp_width_bound None db
       in

@@ -28,11 +28,12 @@ type algorithm =
   | Uniform_unary  (** Theorem 4.6 completion-shape enumeration *)
   | Candidate_enumeration
       (** Proposition B.1 candidate-space enumeration (Codd tables with a
-          small ground-fact universe); see {!Comp_candidates} *)
+          small ground-fact universe that the elimination kernel
+          declines); see {!Comp_candidates} *)
   | Lineage_elimination
-      (** Counting by DP over the candidate-fact interaction graph —
-          Codd tables past the enumeration cap and (via shared-null
-          conditioning) non-Codd tables; see {!Comp_kernel} *)
+      (** Counting by DP over the candidate-fact interaction graph — Codd
+          tables and (via shared-null conditioning) non-Codd tables; see
+          {!Comp_kernel} *)
   | Brute_force
 
 val algorithm_to_string : algorithm -> string
@@ -57,27 +58,28 @@ val uniform_symbolic :
   ?query:Cq.t -> Incdb_incomplete.Idb.fact list -> domain_size:int -> Nat.t
 
 (** [count ?brute_limit ?max_candidates ?jobs q db] dispatches: the
-    Theorem 4.6 algorithm when it applies; otherwise, for a Codd table
-    whose candidate universe fits within [max_candidates] (default
-    {!Comp_candidates.default_max_candidates}; probed with an early-exit
-    grounding, and the probed universe is reused by the counting call),
-    the {!Comp_candidates} bitset kernel; then — Codd or not — the
-    {!Comp_kernel} elimination arm whenever it can compile a plan;
-    brute-force enumeration as the last resort.  [jobs] (default 1:
-    sequential; 0: auto-detect) shards the brute-force completion dedup
-    — or the enumerator's mask space — across domains; totals are
-    bit-identical at any job count (the elimination DP is sequential).
-    [mask] (default [Auto]) picks the enumerator's mask representation:
-    single-word up to [Lineage.max_universe] candidates, multi-word
-    beyond (see {!Comp_candidates.mask_choice}).
+    Theorem 4.6 algorithm when it applies; otherwise — Codd or not — the
+    {!Comp_kernel} elimination arm whenever it can compile a plan; when
+    the plan declines, the {!Comp_candidates} bitset enumerator for a
+    Codd table whose candidate universe fits within [max_candidates]
+    (default {!Comp_candidates.default_max_candidates}; probed with an
+    early-exit grounding, and the probed universe is reused by the
+    counting call); brute-force enumeration as the last resort.  [jobs]
+    (default 1: sequential; 0: auto-detect) shards the brute-force
+    completion dedup — or the enumerator's mask space — across domains;
+    totals are bit-identical at any job count (the elimination DP is
+    sequential).  [mask] (default [Auto]) picks the enumerator's mask
+    representation: single-word up to [Lineage.max_universe]
+    candidates, multi-word beyond (see {!Comp_candidates.mask_choice}).
 
     The elimination arm is steered by [comp_elim] (default
-    [Comp_kernel.Auto]): [Off] restores the pre-kernel policy, [Force]
-    requires the kernel — overriding every other arm, the Theorem 4.6
-    closed form included — and raises {!Comp_kernel.Infeasible} when it
-    declines; under [Auto] a mid-run [Too_many_states] falls back to
-    brute force.  [comp_width_bound] caps the sweep's open fact windows
-    (plan-time, typed failure), [comp_max_cells] bounds the in-memory
+    [Comp_kernel.Auto]): [Off] skips it (enumerator, then brute force),
+    [Force] requires the kernel — overriding every other arm, the
+    Theorem 4.6 closed form included — and raises
+    {!Comp_kernel.Infeasible} when it declines; under [Auto] a mid-run
+    [Too_many_states] falls back to the enumerator or brute force as if
+    the plan had declined.  [comp_width_bound] caps the sweep's open
+    fact windows (plan-time, typed failure), [comp_max_cells] bounds the in-memory
     bag-boundary message before counts spill to disk under
     [comp_spill_dir], [comp_max_states] bounds the DP frontier,
     [comp_cache] (default [true]) toggles the kernel's antichain

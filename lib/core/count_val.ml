@@ -616,7 +616,7 @@ let uniform_symbolic q facts ~domain_size =
 (* Dispatcher.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-module Trace = Incdb_obs.Trace
+module Events = Incdb_obs.Events
 module Log = Incdb_obs.Log
 
 (* Brute-force routed through the sharded engine; [jobs = 1] (the
@@ -629,7 +629,7 @@ let brute_force ?limit ?(jobs = 1) q db =
    caller should enumerate instead. *)
 let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
     ?cache ?spill ?spill_dir ?spill_budget_bytes ?jobs q db =
-  Trace.with_span "count_val.lineage_elimination" (fun () ->
+  Events.with_span "count_val.lineage_elimination" (fun () ->
       match
         Val_kernel.count ?width_bound ?max_events ?max_cells ?order
           ?cache_entries ?cache ?spill ?spill_dir ?spill_budget_bytes ?jobs q
@@ -645,10 +645,10 @@ let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
 let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
     ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir
     ?val_spill_budget_bytes ?jobs q db =
-  Trace.with_span "count_val.count" (fun () ->
+  Events.with_span "count_val.count" (fun () ->
       (* Phase 1: pattern matching -- decide which closed form applies. *)
       let algo =
-        Trace.with_span "count_val.pattern_match" (fun () ->
+        Events.with_span "count_val.pattern_match" (fun () ->
             if all_variables_single q then Product_of_domains
             else if atoms_share_no_variable q && Idb.is_codd db then
               Codd_per_atom
@@ -662,15 +662,15 @@ let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
       match algo with
       | Product_of_domains ->
         ( algo,
-          Trace.with_span "count_val.product_of_domains" (fun () ->
+          Events.with_span "count_val.product_of_domains" (fun () ->
               nonuniform_naive q db) )
       | Codd_per_atom ->
         ( algo,
-          Trace.with_span "count_val.codd_per_atom" (fun () ->
+          Events.with_span "count_val.codd_per_atom" (fun () ->
               codd_nonuniform q db) )
       | Uniform_block_dp ->
         ( algo,
-          Trace.with_span "count_val.uniform_block_dp" (fun () ->
+          Events.with_span "count_val.uniform_block_dp" (fun () ->
               uniform_naive q db) )
       | Lineage_elimination | Brute_force -> (
         match
@@ -683,7 +683,7 @@ let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
         | Some n -> (Lineage_elimination, n)
         | None ->
           ( Brute_force,
-            Trace.with_span "count_val.brute_force" (fun () ->
+            Events.with_span "count_val.brute_force" (fun () ->
                 brute_force ?limit:brute_limit ?jobs (Query.Bcq q) db) )))
 
 let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
@@ -695,7 +695,7 @@ let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
       ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir
       ?val_spill_budget_bytes ?jobs cq db
   | Query.Union _ | Query.Bcq_neq _ | Query.Not _ ->
-    Trace.with_span "count_val.count" (fun () ->
+    Events.with_span "count_val.count" (fun () ->
         match
           try_kernel ?width_bound:val_width_bound ?max_events:val_max_events
             ?max_cells:val_max_cells ?order:val_order
@@ -706,10 +706,10 @@ let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
         | Some n -> (Lineage_elimination, n)
         | None ->
           ( Brute_force,
-            Trace.with_span "count_val.brute_force" (fun () ->
+            Events.with_span "count_val.brute_force" (fun () ->
                 brute_force ?limit:brute_limit ?jobs q db) ))
   | Query.Semantic _ ->
-    Trace.with_span "count_val.count" (fun () ->
+    Events.with_span "count_val.count" (fun () ->
         ( Brute_force,
-          Trace.with_span "count_val.brute_force" (fun () ->
+          Events.with_span "count_val.brute_force" (fun () ->
               brute_force ?limit:brute_limit ?jobs q db) ))

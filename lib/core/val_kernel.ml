@@ -1,7 +1,6 @@
 open Incdb_bignum
 open Incdb_cq
 open Incdb_incomplete
-module Trace = Incdb_obs.Trace
 module Metrics = Incdb_obs.Metrics
 module Events = Incdb_obs.Events
 module Log = Incdb_obs.Log
@@ -707,7 +706,7 @@ and solve_component cfg ~jobs dom clauses slots =
   | None -> solve_component_uncached cfg ~jobs dom clauses slots
   | Some cache ->
     let key =
-      Trace.with_span "val_kernel.canonicalize" (fun () ->
+      Events.with_span "val_kernel.canonicalize" (fun () ->
           Lineage.canonical_fixes clauses ~dom:(fun j -> dom.(j)))
     in
     (match cache_find cache key with
@@ -754,7 +753,7 @@ and solve_component_uncached cfg ~jobs dom clauses slots =
     | None -> None
     | Some m ->
       let td =
-        Trace.with_span "val_kernel.treedec" (fun () ->
+        Events.with_span "val_kernel.treedec" (fun () ->
             Treedec.build ~order
               ~cliques:(Array.map (fun c -> Array.map fst c) clauses))
       in
@@ -884,9 +883,9 @@ let count ?(width_bound = default_width_bound)
   match strip_negations false q with
   | _, Query.Semantic _ -> None
   | negated, core ->
-    Trace.with_span "val_kernel.count" (fun () ->
+    Events.with_span "val_kernel.count" (fun () ->
         let evs =
-          Trace.with_span "val_kernel.compile_events" (fun () ->
+          Events.with_span "val_kernel.compile_events" (fun () ->
               Array.of_list (Incdb_approx.Karp_luby.events core db))
         in
         let n = Array.length evs in
@@ -933,7 +932,7 @@ let count ?(width_bound = default_width_bound)
           }
         in
         let avoid =
-          Trace.with_span "val_kernel.eliminate" (fun () ->
+          Events.with_span "val_kernel.eliminate" (fun () ->
               solve cfg ~jobs dom clauses live)
         in
         let total = Idb.total_valuations db in

@@ -2,16 +2,6 @@ open Incdb_relational
 
 let max_universe = Sys.int_size - 1
 
-exception Too_many_clauses of { clauses : int; limit : int }
-
-let () =
-  Printexc.register_printer (function
-    | Too_many_clauses { clauses; limit } ->
-      Some
-        (Printf.sprintf "Lineage.Too_many_clauses(clauses %d, limit %d)" clauses
-           limit)
-    | _ -> None)
-
 type t = { clauses : int array; negated : bool }
 
 let clause_count l = Array.length l.clauses
@@ -111,7 +101,6 @@ module type MASKED = sig
   val compile : Query.t -> Cdb.fact array -> lineage option
   val sat : lineage -> mask -> bool
   val dnf_sat : mask array -> mask -> bool
-  val fixed_masks : width:int -> (int * int) array array -> mask array
 end
 
 module Make (M : Incdb_bignum.Bitset.MASK) = struct
@@ -190,12 +179,6 @@ module Make (M : Incdb_bignum.Bitset.MASK) = struct
     go 0
 
   let sat l mask = dnf_sat l.clauses mask <> l.negated
-
-  let fixed_masks ~width fixes =
-    Array.map
-      (fun assigns ->
-        Array.fold_left (fun m (slot, _) -> M.set m slot) (M.zero ~width) assigns)
-      fixes
 end
 
 module Wide = Make (Incdb_bignum.Bitset.Wide)
@@ -203,40 +186,6 @@ module Wide = Make (Incdb_bignum.Bitset.Wide)
 (* ------------------------------------------------------------------ *)
 (* Slot-assignment clauses (the valuation-space face of the same idea) *)
 (* ------------------------------------------------------------------ *)
-
-let fixed_masks fixes =
-  Array.map
-    (fun assigns ->
-      Array.fold_left (fun m (slot, _) -> m lor (1 lsl slot)) 0 assigns)
-    fixes
-
-let compatible a b =
-  (* Both sorted by slot: one linear merge pass. *)
-  let la = Array.length a and lb = Array.length b in
-  let rec go i j =
-    if i = la || j = lb then true
-    else
-      let sa, va = a.(i) and sb, vb = b.(j) in
-      if sa < sb then go (i + 1) j
-      else if sa > sb then go i (j + 1)
-      else va = vb && go (i + 1) (j + 1)
-  in
-  go 0 0
-
-let conflict_masks fixes =
-  let n = Array.length fixes in
-  if n > max_universe then
-    raise (Too_many_clauses { clauses = n; limit = max_universe });
-  let conflicts = Array.make n 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      if not (compatible fixes.(i) fixes.(j)) then begin
-        conflicts.(i) <- conflicts.(i) lor (1 lsl j);
-        conflicts.(j) <- conflicts.(j) lor (1 lsl i)
-      end
-    done
-  done;
-  conflicts
 
 (* [a] subsumes [b] when every (slot, value) pair of [a] appears in [b]:
    any assignment matching [b] then matches [a], so [b] is redundant in a

@@ -14,21 +14,13 @@
     [Comp_candidates.count]'s candidate-space enumeration.
 
     The module lives in [incdb_cq] (not [incdb_core]) because the
-    compiler only needs [Query] and [Cdb], and the approximation layer
-    ([Karp_luby]) sits below [incdb_core] in the dependency order yet
-    reuses the slot-assignment helpers for its event compilation. *)
+    compiler only needs [Query] and [Cdb]. *)
 
 open Incdb_relational
 
 (** Largest universe a single-word clause mask can represent
     ([Sys.int_size - 1]); the {!Wide} instantiation has no such bound. *)
 val max_universe : int
-
-(** Raised by {!conflict_masks} when the clause set exceeds one mask
-    word; carries the actual clause count, mirroring the other typed
-    limits ([Too_many_valuations]/[Too_many_candidates]) so the CLI can
-    report it uniformly. *)
-exception Too_many_clauses of { clauses : int; limit : int }
 
 (** A compiled lineage: minimal DNF clauses over fact-id bits, with an
     outer negation flag (so [Not q] compiles when [q] does). *)
@@ -69,22 +61,9 @@ val popcount : int -> int
     values for a set of {e slots} (null indices), given as an array of
     [(slot, value)] pairs sorted by slot.  [Karp_luby] compiles its
     union-of-events representation this way — one clause per match
-    candidate — so the per-sample coverage test and the
-    inclusion–exclusion subset merge run on ints instead of re-matching
-    association lists. *)
-
-(** Per-clause bitmask of the slots it fixes. *)
-val fixed_masks : (int * int) array array -> int array
-
-(** [compatible a b]: no slot assigned different values (both sorted). *)
-val compatible : (int * int) array -> (int * int) array -> bool
-
-(** [conflict_masks fixes]: for each clause, the bitmask of clauses it
-    conflicts with (some shared slot assigned differently).  A set of
-    clauses is jointly mergeable iff it is pairwise conflict-free, which
-    makes subset validity an incremental one-word test.
-    @raise Too_many_clauses with more than {!max_universe} clauses. *)
-val conflict_masks : (int * int) array array -> int array
+    candidate — so its per-sample coverage test runs on ints instead of
+    re-matching association lists, and the #Val kernel eliminates over
+    the same clauses. *)
 
 (** [fixes_subset a b]: every pair of [a] occurs in [b] (both sorted by
     slot).  In a disjunction of slot clauses, [a] then subsumes [b]. *)
@@ -153,10 +132,6 @@ module type MASKED = sig
 
   val sat : lineage -> mask -> bool
   val dnf_sat : mask array -> mask -> bool
-
-  (** Per-clause mask of fixed slots, over [width] slots — the
-      mask-generic {!fixed_masks}. *)
-  val fixed_masks : width:int -> (int * int) array array -> mask array
 end
 
 module Make (M : Incdb_bignum.Bitset.MASK) : MASKED with type mask = M.t

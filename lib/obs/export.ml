@@ -21,42 +21,18 @@
    consumers that *require* the percentiles need the version gate, so
    the number moved. *)
 
-type tree = { span : Trace.span; children : tree list }
-
-(* Rebuild the call forest from the flat path-keyed registry. *)
-let span_forest () =
-  let spans = Trace.spans () in
-  let children_of : (string, Trace.span list) Hashtbl.t = Hashtbl.create 32 in
-  let roots = ref [] in
-  List.iter
-    (fun (s : Trace.span) ->
-      match String.rindex_opt s.Trace.span_path '/' with
-      | None -> roots := s :: !roots
-      | Some i ->
-        let parent = String.sub s.Trace.span_path 0 i in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt children_of parent) in
-        Hashtbl.replace children_of parent (s :: cur))
-    spans;
-  let rec build (s : Trace.span) =
-    let kids =
-      Option.value ~default:[] (Hashtbl.find_opt children_of s.Trace.span_path)
-    in
-    { span = s; children = List.rev_map build kids |> List.rev }
-  in
-  List.rev_map build !roots |> List.rev
-
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let rec tree_to_json t =
+let rec span_to_json (s : Events.span) =
   Json.Assoc
     [
-      ("name", Json.String t.span.Trace.span_name);
-      ("path", Json.String t.span.Trace.span_path);
-      ("calls", Json.Int t.span.Trace.span_calls);
-      ("wall_ns", Json.Int t.span.Trace.span_wall_ns);
-      ("children", Json.List (List.map tree_to_json t.children));
+      ("name", Json.String s.span_name);
+      ("path", Json.String s.span_path);
+      ("calls", Json.Int s.span_calls);
+      ("wall_ns", Json.Int s.span_wall_ns);
+      ("children", Json.List (List.map span_to_json s.span_children));
     ]
 
 let histogram_to_json (h : Metrics.histogram_snapshot) =
@@ -83,7 +59,7 @@ let to_json () =
   Json.Assoc
     [
       ("schema_version", Json.Int 2);
-      ("spans", Json.List (List.map tree_to_json (span_forest ())));
+      ("spans", Json.List (List.map span_to_json (Events.spans ())));
       ( "counters",
         Json.Assoc
           (List.map (fun (n, v) -> (n, Json.Int v)) (Metrics.counters_snapshot ()))
@@ -119,19 +95,17 @@ let pp_duration ns =
   else Printf.sprintf "%.3f s" (f /. 1e9)
 
 let pp_summary oc =
-  let forest = span_forest () in
+  let forest = Events.spans () in
   if forest <> [] then begin
     Printf.fprintf oc "== span tree (wall clock) ==\n";
     Printf.fprintf oc "  %-44s %8s %12s %12s\n" "span" "calls" "total" "mean";
-    let rec print depth t =
-      let s = t.span in
-      let label = String.make (2 * depth) ' ' ^ s.Trace.span_name in
-      Printf.fprintf oc "  %-44s %8d %12s %12s\n" label s.Trace.span_calls
-        (pp_duration s.Trace.span_wall_ns)
+    let rec print depth (s : Events.span) =
+      let label = String.make (2 * depth) ' ' ^ s.span_name in
+      Printf.fprintf oc "  %-44s %8d %12s %12s\n" label s.span_calls
+        (pp_duration s.span_wall_ns)
         (pp_duration
-           (if s.Trace.span_calls = 0 then 0
-            else s.Trace.span_wall_ns / s.Trace.span_calls));
-      List.iter (print (depth + 1)) t.children
+           (if s.span_calls = 0 then 0 else s.span_wall_ns / s.span_calls));
+      List.iter (print (depth + 1)) s.span_children
     in
     List.iter (print 0) forest
   end;
@@ -174,10 +148,9 @@ let pp_summary oc =
   flush oc
 
 (* Zero every span, metric and recorded event; registrations survive.
-   Safe while spans are open on any domain (see Trace.reset and
-   Events.reset) — incdbd calls this between requests. *)
+   Safe while spans are open on any domain (see Events.reset) — incdbd
+   calls this between requests. *)
 let reset () =
-  Trace.reset ();
   Metrics.reset ();
   Events.reset ()
 

@@ -37,7 +37,7 @@ let visible lvl =
   match !current with None -> false | Some l -> severity lvl <= severity l
 
 let emit lvl msg =
-  let where = match Trace.current_path () with None -> "" | Some p -> " " ^ p in
+  let where = match Events.current_path () with None -> "" | Some p -> " " ^ p in
   Printf.eprintf "incdb[%s]%s: %s\n%!" (label lvl) where msg
 
 let logf lvl fmt =

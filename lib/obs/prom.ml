@@ -1,5 +1,5 @@
 (* Prometheus text-exposition formatter over the {!Metrics} and
-   {!Trace} snapshots (exposition format version 0.0.4).
+   {!Events} span snapshots (exposition format version 0.0.4).
 
    Counters become `incdb_<name>_total`, gauges `incdb_<name>`, and
    histograms the standard `_bucket{le=...}` / `_sum` / `_count`
@@ -70,22 +70,21 @@ let to_string () =
       line "%s_sum %s" n (float_literal h.Metrics.sum);
       line "%s_count %d" n h.Metrics.count)
     (Metrics.histograms_snapshot ());
-  (match Trace.spans () with
+  let rec flatten (s : Events.span) = s :: List.concat_map flatten s.span_children in
+  (match List.concat_map flatten (Events.spans ()) with
   | [] -> ()
   | spans ->
     line "# TYPE incdb_span_calls_total counter";
     List.iter
-      (fun (s : Trace.span) ->
-        line "incdb_span_calls_total{path=\"%s\"} %d"
-          (escape_label s.Trace.span_path)
-          s.Trace.span_calls)
+      (fun (s : Events.span) ->
+        line "incdb_span_calls_total{path=\"%s\"} %d" (escape_label s.span_path)
+          s.span_calls)
       spans;
     line "# TYPE incdb_span_wall_ns_total counter";
     List.iter
-      (fun (s : Trace.span) ->
-        line "incdb_span_wall_ns_total{path=\"%s\"} %d"
-          (escape_label s.Trace.span_path)
-          s.Trace.span_wall_ns)
+      (fun (s : Events.span) ->
+        line "incdb_span_wall_ns_total{path=\"%s\"} %d" (escape_label s.span_path)
+          s.span_wall_ns)
       spans);
   Buffer.contents buf
 

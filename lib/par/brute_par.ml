@@ -8,7 +8,7 @@ module Cdb_set = Set.Make (struct
   let compare = Incdb_relational.Cdb.compare
 end)
 
-module Trace = Incdb_obs.Trace
+module Events = Incdb_obs.Events
 module Metrics = Incdb_obs.Metrics
 
 (* The same engine counters the sequential oracles update ([Metrics.counter]
@@ -46,7 +46,7 @@ let count_valuations ?(limit = default_limit) ?(jobs = 1) q db =
   let jobs = Pool.resolve jobs in
   if jobs <= 1 then Brute.count_valuations ~limit q db
   else
-    Trace.with_span "brute_par.count_valuations" (fun () ->
+    Events.with_span "brute_par.count_valuations" (fun () ->
         shard_map ~limit ~jobs db (fun prefix ->
             let count = ref Nat.zero in
             Idb.iter_valuations_prefix ~limit db ~prefix (fun v ->
@@ -75,19 +75,19 @@ let count_completions ?(limit = default_limit) ?(jobs = 1) q db =
   let jobs = Pool.resolve jobs in
   if jobs <= 1 then Brute.count_completions ~limit q db
   else
-    Trace.with_span "brute_par.count_completions" (fun () ->
+    Events.with_span "brute_par.count_completions" (fun () ->
         Nat.of_int (Cdb_set.cardinal (merged_completions ~limit ~jobs (Some q) db)))
 
 let completions ?(limit = default_limit) ?(jobs = 1) db =
   let jobs = Pool.resolve jobs in
   if jobs <= 1 then Brute.completions ~limit db
   else
-    Trace.with_span "brute_par.completions" (fun () ->
+    Events.with_span "brute_par.completions" (fun () ->
         Cdb_set.elements (merged_completions ~limit ~jobs None db))
 
 let count_all_completions ?(limit = default_limit) ?(jobs = 1) db =
   let jobs = Pool.resolve jobs in
   if jobs <= 1 then Brute.count_all_completions ~limit db
   else
-    Trace.with_span "brute_par.count_all_completions" (fun () ->
+    Events.with_span "brute_par.count_all_completions" (fun () ->
         Nat.of_int (Cdb_set.cardinal (merged_completions ~limit ~jobs None db)))

@@ -1,6 +1,5 @@
 open Incdb_approx
 
-module Trace = Incdb_obs.Trace
 module Metrics = Incdb_obs.Metrics
 module Events = Incdb_obs.Events
 module Log = Incdb_obs.Log
@@ -54,7 +53,7 @@ let run_estimator ?(jobs = 0) ~seed ~samples q db =
             (fun () -> stream_hits ~seed ~stream:s ~count compiled))
     in
     let hits =
-      Trace.with_span "karp_luby_par.sample" (fun () ->
+      Events.with_span "karp_luby_par.sample" (fun () ->
           List.fold_left ( + ) 0 (Pool.run ~jobs tasks))
     in
     let rate = float_of_int hits /. float_of_int samples in
@@ -68,13 +67,13 @@ let run_estimator ?(jobs = 0) ~seed ~samples q db =
   end
 
 let estimate ?jobs ~seed ~samples q db =
-  Trace.with_span "karp_luby_par.estimate" (fun () ->
+  Events.with_span "karp_luby_par.estimate" (fun () ->
       match run_estimator ?jobs ~seed ~samples q db with
       | None -> 0.
       | Some (total_weight, rate) -> total_weight *. rate)
 
 let estimate_with_ci ?jobs ~seed ~samples q db =
-  Trace.with_span "karp_luby_par.estimate" (fun () ->
+  Events.with_span "karp_luby_par.estimate" (fun () ->
       match run_estimator ?jobs ~seed ~samples q db with
       | None -> (0., 0.)
       | Some (total_weight, rate) ->

@@ -94,7 +94,7 @@ let for_comp q =
     direct = Independent.count_vertex_covers;
   }
 
-module Trace = Incdb_obs.Trace
+module Events = Incdb_obs.Events
 module Metrics = Incdb_obs.Metrics
 
 let certificates_checked = Metrics.counter "reductions.certificates_checked"
@@ -104,16 +104,16 @@ let certificates_checked = Metrics.counter "reductions.certificates_checked"
    arithmetic recovery, and the direct combinatorial count it must
    equal. *)
 let check cert ~count g =
-  Trace.with_span "reductions.check" (fun () ->
+  Events.with_span "reductions.check" (fun () ->
       Metrics.incr certificates_checked;
-      let db = Trace.with_span "reductions.encode" (fun () -> cert.encode g) in
+      let db = Events.with_span "reductions.encode" (fun () -> cert.encode g) in
       let oracle =
-        Trace.with_span "reductions.oracle_count" (fun () -> count db)
+        Events.with_span "reductions.oracle_count" (fun () -> count db)
       in
       let recovered =
-        Trace.with_span "reductions.recover" (fun () -> cert.recover g oracle)
+        Events.with_span "reductions.recover" (fun () -> cert.recover g oracle)
       in
       let direct =
-        Trace.with_span "reductions.direct_count" (fun () -> cert.direct g)
+        Events.with_span "reductions.direct_count" (fun () -> cert.direct g)
       in
       (recovered, direct))

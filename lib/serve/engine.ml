@@ -4,10 +4,9 @@
    Every engine failure a one-shot idbcount turns into a one-line
    message and exit 1 is admission control here: the typed resource
    limits (Too_many_valuations, Too_many_candidates, Too_many_events,
-   Infeasible, Too_many_clauses) map to structured error responses with
-   a machine-readable [kind], the request is refused, and the server
-   keeps serving.  Nothing in this module exits or lets an exception
-   escape past [handle]. *)
+   Infeasible) map to structured error responses with a machine-readable
+   [kind], the request is refused, and the server keeps serving.  Nothing
+   in this module exits or lets an exception escape past [handle]. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -111,13 +110,6 @@ let error_response ~id exn =
       (Printf.sprintf
          "the #Comp elimination kernel declined the instance: %s"
          (Comp_kernel.infeasible_to_string reason))
-  | Lineage.Too_many_clauses { clauses; limit } ->
-    refusal "too_many_clauses"
-      ~data:[ ("clauses", Json.Int clauses); ("limit", Json.Int limit) ]
-      (Printf.sprintf
-         "the compiled lineage has %d clauses, more than one conflict mask \
-          word holds (limit %d)"
-         clauses limit)
   | exn ->
     Metrics.incr errors_total;
     Protocol.err ~id ~kind:"internal_error" (Printexc.to_string exn)
@@ -300,8 +292,8 @@ let run_metrics state =
     ]
 
 let run_reset (r : Protocol.t) =
-  (* Metrics and trace generations always roll (generation-safe: spans
-     still open keep writing into the old generation); warm caches only
+  (* Metrics, spans and events always roll (generation-safe: spans
+     still open finish without recording); warm caches only
      go when asked, because dropping them is the opposite of what a
      persistent server is for. *)
   Incdb_obs.Export.reset ();

@@ -6,7 +6,7 @@
     databases — come back as [ok: false] responses whose [error.kind]
     is one of [bad_request], [db_error], [invalid_argument],
     [too_many_valuations], [too_many_candidates], [too_many_events],
-    [comp_infeasible], [too_many_clauses] or [internal_error].  Refused
+    [comp_infeasible] or [internal_error].  Refused
     requests tick [serve.refusals] and leave the server (and its warm
     caches) fully operational — admission control, not failure.
 

@@ -214,10 +214,8 @@ let test_rare_event () =
     true
     (relative_error exact est < 0.1)
 
-(* The inclusion-exclusion oracle past one mask word: with more nulls
-   than fit a single word, subset term sharing switches to wide-bitset
-   fixed-null keys, observable through the iex.mask_repr gauge, and the
-   count must not change. *)
+(* The inclusion-exclusion oracle on tables with more nulls than fit one
+   machine word: the free nulls' product must stay exact. *)
 let test_exact_via_events_wide_nulls () =
   (* [pad] extra nulls in a relation the query never mentions inflate the
      slot count without touching the two events. *)
@@ -237,30 +235,11 @@ let test_exact_via_events_wide_nulls () =
          :: List.init pad (fun i -> (Printf.sprintf "f%d" i, [ "0"; "1" ]))))
   in
   let q = bcq "R(x), S(x)" in
-  let mask_repr db =
-    let was = Incdb_obs.Runtime.enabled () in
-    Incdb_obs.Runtime.set_enabled true;
-    let n =
-      Fun.protect
-        ~finally:(fun () -> Incdb_obs.Runtime.set_enabled was)
-        (fun () -> Karp_luby.exact_via_events q db)
-    in
-    (n, Incdb_obs.Metrics.gauge_value "iex.mask_repr")
-  in
   (* 64 nulls: count = 3 * 2^62 (a or b drawn "u", 62 free binary
-     nulls), memoized = unmemoized, masks two words wide. *)
-  let db = wide_db 62 in
-  let expected = Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 62) in
-  let n, repr = mask_repr db in
-  Gen.check_nat "wide-null count" expected n;
-  Gen.check_nat "memo-free agrees" expected
-    (Karp_luby.exact_via_events ~memo:false q db);
-  Alcotest.(check (option (float 0.))) "two words per mask" (Some 2.) repr;
-  (* Exactly at the word boundary the single-word path still runs. *)
-  let n62, repr62 = mask_repr (wide_db 60) in
-  Gen.check_nat "boundary count" (Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 60))
-    n62;
-  Alcotest.(check (option (float 0.))) "one word per mask" (Some 1.) repr62
+     nulls). *)
+  Gen.check_nat "wide-null count"
+    (Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 62))
+    (Karp_luby.exact_via_events q (wide_db 62))
 
 let test_unbiasedness () =
   (* Averaging small-sample estimates over many seeds must approach the

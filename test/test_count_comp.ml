@@ -191,9 +191,31 @@ let test_dispatcher_algorithms () =
       (Idb.Nonuniform [ ("n", [ "0"; "1" ]) ])
   in
   let algo2, _ = Count_comp.count (Cq.of_string "R(x)") nonuniform in
-  Alcotest.(check string) "non-uniform Codd routes to candidate enumeration"
-    (Count_comp.algorithm_to_string Count_comp.Candidate_enumeration)
+  Alcotest.(check string) "non-uniform Codd routes to lineage elimination"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
     (Count_comp.algorithm_to_string algo2);
+  let algo2_off, _ =
+    Count_comp.count ~comp_elim:Comp_kernel.Off (Cq.of_string "R(x)") nonuniform
+  in
+  Alcotest.(check string) "with the kernel off it enumerates candidates"
+    (Count_comp.algorithm_to_string Count_comp.Candidate_enumeration)
+    (Count_comp.algorithm_to_string algo2_off);
+  (* 17 nulls over one 20-value domain: the kernel declines on width,
+     and the enumerator (20 candidates) answers.  Every non-empty set of
+     at most 17 values is a completion. *)
+  let values = List.init 20 string_of_int in
+  let crowded =
+    Idb.make
+      (List.init 17 (fun i -> Idb.fact "R" [ Term.null (Printf.sprintf "n%d" i) ]))
+      (Idb.Nonuniform (List.init 17 (fun i -> (Printf.sprintf "n%d" i, values))))
+  in
+  let algo5, n5 = Count_comp.count (Cq.of_string "R(x)") crowded in
+  Alcotest.(check string) "17 nulls over 20 values route to candidate enumeration"
+    (Count_comp.algorithm_to_string Count_comp.Candidate_enumeration)
+    (Count_comp.algorithm_to_string algo5);
+  check_nat "crowded count"
+    (Nat.sum (List.init 17 (fun k -> Combinat.binomial 20 (k + 1))))
+    n5;
   (* A naive table is now picked up by the elimination kernel (it used
      to be the brute-force cliff)... *)
   let naive_wide =

@@ -425,19 +425,6 @@ let test_codd_wide_matching_boundary () =
         (Comp_candidates.count ~max_candidates:m ~jobs:2 db))
     [ [ 21; 21; 21 ]; [ 21; 21; 22 ]; [ 21; 22; 22 ] ]
 
-let test_too_many_clauses_typed () =
-  (* 63 pairwise-compatible singleton clauses: one more than fits a
-     conflict-mask word. *)
-  let fixes = Array.init 63 (fun i -> [| (i, 0) |]) in
-  (match Lineage.conflict_masks fixes with
-  | (_ : int array) -> Alcotest.fail "expected Too_many_clauses"
-  | exception Lineage.Too_many_clauses { clauses; limit } ->
-    Alcotest.(check int) "clauses" 63 clauses;
-    Alcotest.(check int) "limit" Lineage.max_universe limit);
-  (* One word's worth still works. *)
-  Alcotest.(check int) "62 clauses fit" 62
-    (Array.length (Lineage.conflict_masks (Array.sub fixes 0 62)))
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -470,7 +457,5 @@ let () =
             test_wide_beyond_word_ceiling;
           Alcotest.test_case "Codd matching at 63/64/65" `Quick
             test_codd_wide_matching_boundary;
-          Alcotest.test_case "typed clause limit" `Quick
-            test_too_many_clauses_typed;
         ] );
     ]

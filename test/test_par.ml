@@ -1,10 +1,9 @@
 (* Tests for the multicore execution layer: the domain pool, sharded
-   brute force, parallel Karp–Luby, and the memoized inclusion–exclusion.
+   brute force and parallel Karp–Luby.
 
    The load-bearing properties are the agreement ones: for any instance
    and any job count the parallel engines must return bit-identical
-   results to their sequential counterparts, and the memoized
-   inclusion–exclusion must equal the unmemoized reference. *)
+   results to their sequential counterparts. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -167,22 +166,6 @@ let prop_par_comp_agrees =
         job_levels)
 
 (* ------------------------------------------------------------------ *)
-(* Memoized inclusion–exclusion                                        *)
-(* ------------------------------------------------------------------ *)
-
-let prop_memo_ie_agrees =
-  QCheck.Test.make ~count:60
-    ~name:"memoized inclusion-exclusion = unmemoized reference" seeds_arb
-    (fun seeds ->
-      let q, db = random_instance seeds in
-      let query = Query.Bcq q in
-      QCheck.assume
-        (List.length (Incdb_approx.Karp_luby.events query db) <= 12);
-      Nat.equal
-        (Incdb_approx.Karp_luby.exact_via_events ~memo:true query db)
-        (Incdb_approx.Karp_luby.exact_via_events ~memo:false query db))
-
-(* ------------------------------------------------------------------ *)
 (* Parallel Karp–Luby determinism                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -235,7 +218,6 @@ let () =
             test_figure1_counts;
           QCheck_alcotest.to_alcotest prop_par_val_agrees;
           QCheck_alcotest.to_alcotest prop_par_comp_agrees;
-          QCheck_alcotest.to_alcotest prop_memo_ie_agrees;
         ] );
       ( "karp-luby",
         [
