@@ -6,14 +6,20 @@
      idbcount approx    --db big.idb --query "R(x,x)" --samples 50000
      idbcount enumerate --db example.idb --query "S(x,x)"
      idbcount table1    "R(x,x)" "R(x), S(x)" ...
-*)
+
+   count, approx, bounds and classify are one-shot incdbd requests: their
+   flags are the request knobs of Incdb_serve.Protocol, the request is
+   answered by Engine.handle on a fresh State, and the payload is printed
+   as text.  The other subcommands call the library directly and refuse
+   with the Engine's messages. *)
 
 open Cmdliner
 open Incdb_bignum
 open Incdb_cq
 open Incdb_incomplete
 open Incdb_core
-module Count_bounds_alias = Comp_bounds
+open Incdb_serve
+module Json = Incdb_obs.Json
 
 let query_conv =
   let parse s =
@@ -26,11 +32,6 @@ let query_conv =
 let db_arg =
   let doc = "Incomplete database file (see Idb_parser for the format)." in
   Arg.(required & opt (some file) None & info [ "db" ] ~docv:"FILE" ~doc)
-
-let load_db path =
-  Incdb_obs.Events.with_span "idbcount.load_db" (fun () ->
-      try Ok (Idb_parser.of_file path)
-      with Invalid_argument msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Observability flags, shared by every subcommand                     *)
@@ -111,401 +112,187 @@ let with_obs (o : obs_opts) f =
   | exception Cli_error -> exit 1);
   if !export_failed then exit 1
 
-let query_opt =
+(* Print an [ok: false] response as one error: line and fail. *)
+let refuse resp =
+  let message =
+    match Option.bind (Json.member "error" resp) (Json.member "message") with
+    | Some (Json.String m) -> m
+    | _ -> Json.to_string resp
+  in
+  prerr_endline ("error: " ^ message);
+  raise Cli_error
+
+(* The body of a subcommand that calls the library itself: whatever it
+   raises is refused exactly as the Engine refuses it, so the typed
+   resource limits and bad input surface as one error: line and exit 1,
+   whichever engine the query happens to route through. *)
+let run_refusing obs f =
+  with_obs obs (fun () ->
+      try f () with exn -> refuse (Engine.error_response ~id:Json.Null exn))
+
+(* --query, parsed by [parser]. *)
+let query_opt parser =
   let doc = "Boolean conjunctive query, e.g. \"R(x), S(x,y)\"." in
-  Arg.(required & opt (some query_conv) None & info [ "query"; "q" ] ~docv:"QUERY" ~doc)
+  Arg.(
+    required
+    & opt (some parser) None
+    & info [ "query"; "q" ] ~docv:"QUERY" ~doc)
 
 (* ------------------------------------------------------------------ *)
-(* Parallelism                                                         *)
+(* One-shot requests: count, approx, bounds, classify                  *)
 (* ------------------------------------------------------------------ *)
 
-let jobs_term =
-  let doc =
-    "Worker domains for the parallelizable engines (sharded brute force, \
-     parallel Karp-Luby).  1 (the default) is the sequential path; 0 \
-     auto-detects the machine's recommended domain count."
+(* The flag of one request knob, --name with the table's doc, default
+   and accepted values.  An absent flag leaves the knob out of the
+   request, which then takes the table's default. *)
+let knob_arg (k : Protocol.knob) =
+  let names =
+    String.map (function '_' -> '-' | c -> c) k.name :: Option.to_list k.short
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-(* A clean, actionable message for the one anticipated failure of the
-   exhaustive engines, instead of an exception backtrace. *)
-let too_many_msg what (total : Nat.t) limit =
-  Printf.sprintf
-    "error: %s needs exhaustive enumeration, but the instance has %s \
-     valuations (limit %d).\n\
-     Raise --brute-limit, or use `idbcount approx` / `idbcount bounds` for \
-     an estimate."
-    what (Nat.to_string total) limit
-
-(* Every subcommand funnels its body through this handler, so the three
-   typed resource-limit errors — and bad arguments — surface as one-line
-   messages with a non-zero exit instead of a backtrace, whichever engine
-   the query happens to route through. *)
-let handle_limits ?(what = "this query/database pair") f =
-  try f () with
-  | Invalid_argument msg ->
-    prerr_endline ("error: " ^ msg);
-    raise Cli_error
-  | Idb.Too_many_valuations { total; limit } ->
-    prerr_endline (too_many_msg what total limit);
-    raise Cli_error
-  | Comp_candidates.Too_many_candidates { universe; limit } ->
-    Printf.eprintf
-      "error: the candidate universe has %d ground facts (limit %d).\n\
-       Raise --max-candidates (with --comp-mask auto past 62 facts), or \
-       use `idbcount bounds` for an estimate.\n"
-      universe limit;
-    raise Cli_error
-  | Val_kernel.Too_many_events { events; limit } ->
-    Printf.eprintf
-      "error: the #Val kernel would compile %d Karp-Luby events (limit \
-       %d).\n\
-       Raise --val-max-events, or raise --brute-limit to let enumeration \
-       run.\n"
-      events limit;
-    raise Cli_error
-  | Comp_kernel.Infeasible reason ->
-    Printf.eprintf
-      "error: the #Comp elimination kernel declined the instance: %s.\n\
-       Drop --comp-elim force to let the dispatcher fall back, or raise \
-       the offending limit (--comp-width-bound, --max-candidates, \
-       --brute-limit).\n"
-      (Comp_kernel.infeasible_to_string reason);
-    raise Cli_error
-
-(* The #Val lineage-elimination kernel knobs, shared by count/approx. *)
-let val_width_bound_term =
-  let doc =
-    "Induced-width bound of the #Val variable-elimination kernel: a \
-     clause component whose elimination would exceed this width is split \
-     by conditioning instead (0 forces pure conditioning)."
+  let absent =
+    match k.default with
+    | Json.Null -> None
+    | Json.String s -> Some s
+    | j -> Some (Json.to_string j)
   in
-  Arg.(value
-      & opt int Val_kernel.default_width_bound
-      & info [ "val-width-bound" ] ~docv:"W" ~doc)
-
-let val_max_events_term =
-  let doc =
-    "Largest Karp-Luby event set the #Val kernel compiles; above it (or \
-     with 0 on any satisfiable instance) the dispatcher falls back to \
-     brute-force enumeration."
+  let valued parser docv wrap =
+    Cmdliner.Term.(
+      const (Option.map wrap)
+      $ Arg.(
+          value & opt (some parser) None & info names ?absent ~docv ~doc:k.doc))
   in
-  Arg.(value
-      & opt int Val_kernel.default_max_events
-      & info [ "val-max-events" ] ~docv:"N" ~doc)
+  match k.values with
+  | Protocol.Ints -> valued Arg.int "N" (fun n -> Json.Int n)
+  | Protocol.Choices names ->
+    valued
+      (Arg.enum (List.map (fun c -> (c, c)) names))
+      (String.concat "|" names)
+      (fun c -> Json.String c)
+  | Protocol.Flag ->
+    Cmdliner.Term.(
+      const (fun b -> if b then Some (Json.Bool true) else None)
+      $ Arg.(value & flag & info names ~doc:k.doc))
 
-let val_order_term =
-  let doc =
-    "Elimination-order heuristic of the #Val kernel: min-degree (the \
-     default), or min-fill, which simulates both heuristics per clause \
-     component and keeps whichever order induces the smaller width."
+(* The flags of every knob [op] reads; the term's value is the request
+   members the user set. *)
+let knobs_term op =
+  List.fold_right
+    (fun (k : Protocol.knob) rest ->
+      if not (List.mem op k.ops) then rest
+      else
+        Cmdliner.Term.(
+          const (fun v rest ->
+              match v with Some v -> (k.name, v) :: rest | None -> rest)
+          $ knob_arg k $ rest))
+    Protocol.knobs (Cmdliner.Term.const [])
+
+(* Answer one request exactly as incdbd does: decode the object, run
+   Engine.handle on a fresh State (its #Val cache sized by the request),
+   and print the payload — or refuse. *)
+let answer obs op members print =
+  with_obs obs (fun () ->
+      let members = ("op", Json.String op) :: members in
+      match Protocol.of_json (Json.Assoc members) with
+      | exception exn -> refuse (Engine.error_response ~id:Json.Null exn)
+      | r -> (
+        let state =
+          State.create ~result_cap:0 ~val_cache_entries:r.val_cache_entries ()
+        in
+        let resp =
+          Incdb_obs.Events.with_span ("idbcount." ^ op) (fun () ->
+              Engine.handle state r)
+        in
+        match Json.member "result" resp with
+        | Some payload -> print payload
+        | None -> refuse resp))
+
+let text name payload =
+  match Json.member name payload with
+  | Some (Json.String s) -> s
+  | Some j -> Json.to_string j
+  | None -> ""
+
+(* A subcommand answered through the Engine: --db and --query, then the
+   flags of the knobs it reads. *)
+let request_cmd op ~doc print =
+  let run obs db query knobs =
+    answer obs op
+      (("db", Json.String db) :: ("query", Json.String query) :: knobs)
+      print
   in
-  Arg.(value
-      & opt
-          (enum
-             [
-               ("min-degree", Val_kernel.Min_degree);
-               ("min-fill", Val_kernel.Min_fill);
-             ])
-          Val_kernel.Min_degree
-      & info [ "val-order" ] ~docv:"HEURISTIC" ~doc)
-
-let val_cache_entries_term =
-  let doc =
-    "Size bound of the #Val kernel's cross-branch subproblem cache \
-     (memoized component counts keyed on the canonicalized residual \
-     lineage).  0 disables the cache; counts are identical either way."
-  in
-  Arg.(value
-      & opt int Val_kernel.default_cache_entries
-      & info [ "val-cache-entries" ] ~docv:"N" ~doc)
-
-let val_max_cells_term =
-  let doc =
-    "Largest factor table (in cells) the #Val kernel keeps in memory; a \
-     separator message beyond it spills to disk or forces conditioning, \
-     per --val-spill.  Must be at least 1."
-  in
-  Arg.(value
-      & opt int Val_kernel.default_max_cells
-      & info [ "val-max-cells" ] ~docv:"CELLS" ~doc)
-
-let val_spill_term =
-  let doc =
-    "Spill policy of the #Val kernel for factor tables over \
-     --val-max-cells: auto (spill oversized separator messages to disk \
-     within the spill budget), off (the pre-spill behavior: condition \
-     instead), or force (spill every message — a testing mode).  Counts \
-     are identical in all three modes."
-  in
-  Arg.(value
-      & opt
-          (enum
-             [
-               ("auto", Val_kernel.Auto);
-               ("off", Val_kernel.Off);
-               ("force", Val_kernel.Force);
-             ])
-          Val_kernel.Auto
-      & info [ "val-spill" ] ~docv:"POLICY" ~doc)
-
-let val_spill_dir_term =
-  let doc =
-    "Directory for the #Val kernel's spilled factor tables (default: the \
-     system temp directory).  Temp files are always deleted before the \
-     command exits."
-  in
-  Arg.(value
-      & opt (some string) None
-      & info [ "val-spill-dir" ] ~docv:"DIR" ~doc)
-
-(* ------------------------------------------------------------------ *)
-(* classify                                                            *)
-(* ------------------------------------------------------------------ *)
+  Cmd.v (Cmd.info op ~doc)
+    Cmdliner.Term.(
+      const run $ obs_term $ db_arg $ query_opt Arg.string $ knobs_term op)
 
 let classify_cmd =
   let query =
-    Arg.(required & pos 0 (some query_conv) None & info [] ~docv:"QUERY")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY")
   in
-  let run obs q =
-    with_obs obs (fun () ->
-        handle_limits @@ fun () ->
-        Printf.printf "query: %s\n\n" (Cq.to_string q);
-        (* Pad the continuation lines to the widest setting name so the
-           exact/approx/class lines stay aligned whatever the labels are. *)
-        let width =
-          List.fold_left
-            (fun w s -> max w (String.length (Setting.to_string s)))
-            0 Setting.all
-        in
-        List.iter
-          (fun s ->
-            let label = Setting.to_string s in
-            let padded =
-              label ^ String.make (width - String.length label) ' '
-            in
-            let indent = String.make width ' ' in
-            Printf.printf "%s exact: %s\n%s approx: %s\n%s class: %s\n\n"
-              padded
-              (Classify.verdict_to_string (Classify.exact s q))
-              indent
-              (Classify.approx_verdict_to_string (Classify.approximate s q))
-              indent (Classify.membership s))
-          Setting.all)
+  let print payload =
+    Printf.printf "query: %s\n\n" (text "query" payload);
+    let settings =
+      match Json.member "settings" payload with
+      | Some (Json.List l) -> l
+      | _ -> []
+    in
+    (* Pad the continuation lines to the widest setting name so the
+       exact/approx/class lines stay aligned whatever the labels are. *)
+    let width =
+      List.fold_left
+        (fun w s -> max w (String.length (text "setting" s)))
+        0 settings
+    in
+    List.iter
+      (fun s ->
+        Printf.printf "%-*s exact: %s\n%*s approx: %s\n%*s class: %s\n\n" width
+          (text "setting" s) (text "exact" s) width "" (text "approx" s) width
+          "" (text "class" s))
+      settings
+  in
+  let run obs query =
+    answer obs "classify" [ ("query", Json.String query) ] print
   in
   let doc = "Classify a query in all eight Table 1 settings." in
   Cmd.v (Cmd.info "classify" ~doc) Cmdliner.Term.(const run $ obs_term $ query)
 
-(* ------------------------------------------------------------------ *)
-(* count                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let problem_conv =
-  Arg.enum [ ("val", `Val); ("valuations", `Val); ("comp", `Comp); ("completions", `Comp) ]
-
 let count_cmd =
-  let problem =
-    let doc = "What to count: satisfying valuations (val) or completions (comp)." in
-    Arg.(value & opt problem_conv `Val & info [ "problem"; "p" ] ~doc)
-  in
-  let brute_limit =
-    let doc = "Maximum number of valuations brute force may enumerate." in
-    Arg.(value & opt int 4_000_000 & info [ "brute-limit" ] ~doc)
-  in
-  let max_candidates =
-    let doc =
-      "Largest ground-fact universe the completion-counting bitset kernel \
-       may enumerate (the mask space is 2^N subsets, sharded over --jobs)."
-    in
-    Arg.(value
-        & opt int Comp_candidates.default_max_candidates
-        & info [ "max-candidates" ] ~docv:"N" ~doc)
-  in
-  let comp_mask =
-    let doc =
-      "Mask representation of the completion-counting kernel: auto (the \
-       default; single-word int masks up to the word ceiling, multi-word \
-       bitsets beyond), or force int / wide for A/B measurement."
-    in
-    Arg.(value
-        & opt
-            (enum
-               [
-                 ("auto", Comp_candidates.Auto);
-                 ("int", Comp_candidates.Int_masks);
-                 ("wide", Comp_candidates.Wide_masks);
-               ])
-            Comp_candidates.Auto
-        & info [ "comp-mask" ] ~docv:"REPR" ~doc)
-  in
-  let comp_elim =
-    let doc =
-      "The #Comp lineage-elimination arm: auto (the default; used \
-       whenever a sweep plan compiles, before the candidate enumerator), \
-       off (skip it: candidate enumerator, then brute force), or force \
-       (require the kernel; a declined instance is a hard error instead \
-       of a fallback)."
-    in
-    Arg.(value
-        & opt
-            (enum
-               [
-                 ("auto", Comp_kernel.Auto);
-                 ("off", Comp_kernel.Off);
-                 ("force", Comp_kernel.Force);
-               ])
-            Comp_kernel.Auto
-        & info [ "comp-elim" ] ~docv:"POLICY" ~doc)
-  in
-  let comp_width_bound =
-    let doc =
-      "Width bound of the #Comp elimination sweep: the largest number of \
-       fact windows open at once before the kernel declines the instance \
-       (plan-time, so under --comp-elim auto the dispatcher falls back \
-       without wasted work).  Capped at 62 regardless."
-    in
-    Arg.(value
-        & opt int Comp_kernel.default_width_bound
-        & info [ "comp-width-bound" ] ~docv:"W" ~doc)
-  in
-  let comp_max_cells =
-    let doc =
-      "Largest in-memory DP frontier (in states) the #Comp elimination \
-       kernel carries across a tree-decomposition bag boundary; a larger \
-       message spills its counts to disk.  Counts are identical either \
-       way."
-    in
-    Arg.(value
-        & opt int Comp_kernel.default_max_cells
-        & info [ "comp-max-cells" ] ~docv:"CELLS" ~doc)
-  in
-  let run obs db_path q problem brute_limit val_width_bound val_max_events
-      val_max_cells val_order val_cache_entries val_spill val_spill_dir
-      max_candidates comp_mask comp_elim comp_width_bound comp_max_cells jobs =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          let setting_problem =
-            match problem with
-            | `Val -> Setting.Valuations
-            | `Comp -> Setting.Completions
-          in
-          let setting = Setting.of_idb setting_problem db in
-          Printf.printf "setting: %s\n" (Setting.to_string setting);
-          Printf.printf "classification: %s\n"
-            (Classify.verdict_to_string (Classify.exact setting q));
-          handle_limits (fun () ->
-              let algo_name, result =
-                match problem with
-                | `Val ->
-                  let a, n =
-                    Count_val.count ~brute_limit ~val_width_bound
-                      ~val_max_events ~val_max_cells ~val_order
-                      ~val_cache_entries ~val_spill ?val_spill_dir ~jobs q db
-                  in
-                  (Count_val.algorithm_to_string a, n)
-                | `Comp ->
-                  let a, n =
-                    Count_comp.count ~brute_limit ~max_candidates ~jobs
-                      ~mask:comp_mask ~comp_elim ~comp_width_bound
-                      ~comp_max_cells ?comp_spill_dir:val_spill_dir q db
-                  in
-                  (Count_comp.algorithm_to_string a, n)
-              in
-              Printf.printf "algorithm: %s\n" algo_name;
-              Printf.printf "total valuations: %s\n"
-                (Nat.to_string (Idb.total_valuations db));
-              Printf.printf "count: %s\n" (Nat.to_string result)))
-  in
-  let doc = "Count satisfying valuations or completions exactly." in
-  Cmd.v (Cmd.info "count" ~doc)
-    Cmdliner.Term.(
-      const run $ obs_term $ db_arg $ query_opt $ problem $ brute_limit
-      $ val_width_bound_term $ val_max_events_term $ val_max_cells_term
-      $ val_order_term $ val_cache_entries_term $ val_spill_term
-      $ val_spill_dir_term $ max_candidates $ comp_mask $ comp_elim
-      $ comp_width_bound $ comp_max_cells $ jobs_term)
-
-(* ------------------------------------------------------------------ *)
-(* approx                                                              *)
-(* ------------------------------------------------------------------ *)
+  request_cmd "count" ~doc:"Count satisfying valuations or completions exactly."
+    (fun p ->
+      List.iter
+        (fun (label, name) -> Printf.printf "%s: %s\n" label (text name p))
+        [
+          ("setting", "setting");
+          ("classification", "classification");
+          ("algorithm", "algorithm");
+          ("total valuations", "total_valuations");
+          ("count", "count");
+        ])
 
 let approx_cmd =
-  let samples =
-    Arg.(value & opt int 50_000 & info [ "samples"; "n" ] ~doc:"Sample count.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let meth =
-    let doc = "Estimator: karp-luby (FPRAS, Corollary 5.3) or monte-carlo." in
-    Arg.(value
-        & opt (enum [ ("karp-luby", `Kl); ("monte-carlo", `Mc) ]) `Kl
-        & info [ "method"; "m" ] ~doc)
-  in
-  let exact_check =
-    let doc =
-      "Also compute the exact #Val through the variable-elimination \
-       kernel (honoring --val-width-bound) and print it next to the \
-       estimate, when the event set fits the kernel's limit."
-    in
-    Arg.(value & flag & info [ "exact-check" ] ~doc)
-  in
-  let run obs db_path q samples seed meth val_width_bound val_max_cells
-      val_order val_cache_entries val_spill val_spill_dir exact_check jobs =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          let query = Query.Bcq q in
-          handle_limits (fun () ->
-              (match meth with
-              | `Kl ->
-                let events =
-                  List.length (Incdb_approx.Karp_luby.events query db)
-                in
-                Printf.printf "events: %d\n" events;
-                let est =
-                  if jobs = 1 then
-                    Incdb_approx.Karp_luby.estimate ~seed ~samples query db
-                  else
-                    Incdb_par.Karp_luby_par.estimate ~jobs ~seed ~samples
-                      query db
-                in
-                Printf.printf "estimate (#Val): %.6g\n" est
-              | `Mc ->
-                Printf.printf "estimate (#Val): %.6g\n"
-                  (Incdb_approx.Montecarlo.estimate ~seed ~samples query db));
-              if exact_check then
-                (match
-                   Val_kernel.count ~width_bound:val_width_bound
-                     ~max_cells:val_max_cells ~order:val_order
-                     ~cache_entries:val_cache_entries ~spill:val_spill
-                     ?spill_dir:val_spill_dir ~jobs query db
-                 with
-                | Some n ->
-                  Printf.printf "exact (#Val kernel): %s\n" (Nat.to_string n)
-                | None -> ()
-                | exception Val_kernel.Too_many_events { events; limit } ->
-                  (* Soft skip: the estimate above already printed; the
-                     exact cross-check is best-effort by design. *)
-                  Printf.printf
-                    "exact (#Val kernel): skipped (%d events exceed limit \
-                     %d)\n"
-                    events limit);
-              Printf.printf "total valuations: %s\n"
-                (Nat.to_string (Idb.total_valuations db))))
-  in
-  let doc = "Estimate #Val with randomized approximation (Section 5)." in
-  Cmd.v (Cmd.info "approx" ~doc)
-    Cmdliner.Term.(
-      const run $ obs_term $ db_arg $ query_opt $ samples $ seed $ meth
-      $ val_width_bound_term $ val_max_cells_term $ val_order_term
-      $ val_cache_entries_term $ val_spill_term $ val_spill_dir_term
-      $ exact_check $ jobs_term)
+  request_cmd "approx"
+    ~doc:"Estimate #Val with randomized approximation (Section 5)."
+    (fun p ->
+      if Json.member "events" p <> None then
+        Printf.printf "events: %s\n" (text "events" p);
+      Printf.printf "estimate (#Val): %s\n" (text "estimate_text" p);
+      (* The exact cross-check is best-effort: over the kernel's event
+         limit it is skipped and the estimate stands. *)
+      if Json.member "exact" p <> None then
+        Printf.printf "exact (#Val kernel): %s\n" (text "exact" p)
+      else if Json.member "exact_skipped" p <> None then
+        Printf.printf "exact (#Val kernel): skipped (%s)\n"
+          (text "exact_skipped" p);
+      Printf.printf "total valuations: %s\n" (text "total_valuations" p))
+
+let bounds_cmd =
+  request_cmd "bounds"
+    ~doc:"Sound lower/upper bounds for #Comp (Section 8 heuristics)."
+    (fun p ->
+      Printf.printf "#Comp(q) is within [%s, %s]\n" (text "lower" p)
+        (text "upper" p);
+      match Json.member "exact" p with
+      | Some (Json.String n) -> Printf.printf "bounds meet: #Comp = %s\n" n
+      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* enumerate                                                           *)
@@ -520,34 +307,26 @@ let enumerate_cmd =
     Arg.(value & opt int 64 & info [ "limit" ] ~doc:"Maximum rows printed.")
   in
   let run obs db_path query limit =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          let shown = ref 0 in
-          handle_limits ~what:"enumeration" (fun () ->
-            Idb.iter_valuations db (fun v ->
-              if !shown < limit then begin
-                incr shown;
-                let completion = Idb.apply db v in
-                let mark =
-                  match query with
-                  | None -> ""
-                  | Some q ->
-                    if Cq.eval q completion then "  |= q" else "  not |= q"
-                in
-                let binding =
-                  String.concat ", "
-                    (List.map (fun (n, c) -> "?" ^ n ^ "=" ^ c) v)
-                in
-                Format.printf "%-40s %a%s@." binding Incdb_relational.Cdb.pp
-                  completion mark
-              end);
-            let total = Idb.total_valuations db in
-            Printf.printf "(%d of %s valuations shown)\n" !shown
-              (Nat.to_string total)))
+    run_refusing obs @@ fun () ->
+    let db = Idb_parser.of_file db_path in
+    let shown = ref 0 in
+    Idb.iter_valuations db (fun v ->
+        if !shown < limit then begin
+          incr shown;
+          let completion = Idb.apply db v in
+          let mark =
+            match query with
+            | None -> ""
+            | Some q -> if Cq.eval q completion then "  |= q" else "  not |= q"
+          in
+          let binding =
+            String.concat ", " (List.map (fun (n, c) -> "?" ^ n ^ "=" ^ c) v)
+          in
+          Format.printf "%-40s %a%s@." binding Incdb_relational.Cdb.pp
+            completion mark
+        end);
+    let total = Idb.total_valuations db in
+    Printf.printf "(%d of %s valuations shown)\n" !shown (Nat.to_string total)
   in
   let doc = "Enumerate valuations and their completions (Figure 1 style)." in
   Cmd.v (Cmd.info "enumerate" ~doc)
@@ -559,22 +338,17 @@ let enumerate_cmd =
 
 let certainty_cmd =
   let run obs db_path q =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          let query = Query.Bcq q in
-          handle_limits @@ fun () ->
-          Printf.printf "possible: %b\n" (Certainty.possible query db);
-          Printf.printf "certain:  %b\n" (Certainty.certain query db);
-          Printf.printf "support:  %s\n"
-            (Qnum.to_string (Certainty.support_ratio query db)))
+    run_refusing obs @@ fun () ->
+    let db = Idb_parser.of_file db_path in
+    let query = Query.Bcq q in
+    Printf.printf "possible: %b\n" (Certainty.possible query db);
+    Printf.printf "certain:  %b\n" (Certainty.certain query db);
+    Printf.printf "support:  %s\n"
+      (Qnum.to_string (Certainty.support_ratio query db))
   in
   let doc = "Decide possibility/certainty and compute the support ratio." in
   Cmd.v (Cmd.info "certainty" ~doc)
-    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt)
+    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt query_conv)
 
 (* ------------------------------------------------------------------ *)
 (* sample                                                              *)
@@ -586,28 +360,20 @@ let sample_cmd =
     Arg.(value & opt int 1 & info [ "count"; "n" ] ~doc:"Number of samples.")
   in
   let run obs db_path q seed count =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          let query = Query.Bcq q in
-          handle_limits @@ fun () ->
-          for i = 0 to count - 1 do
-            match
-              Incdb_approx.Enumerate.sample_uniform ~seed:(seed + i) query db
-            with
-            | None -> print_endline "(unsatisfiable)"
-            | Some v ->
-              print_endline
-                (String.concat ", "
-                   (List.map (fun (n, c) -> "?" ^ n ^ "=" ^ c) v))
-          done)
+    run_refusing obs @@ fun () ->
+    let db = Idb_parser.of_file db_path in
+    let query = Query.Bcq q in
+    for i = 0 to count - 1 do
+      match Incdb_approx.Enumerate.sample_uniform ~seed:(seed + i) query db with
+      | None -> print_endline "(unsatisfiable)"
+      | Some v ->
+        print_endline
+          (String.concat ", " (List.map (fun (n, c) -> "?" ^ n ^ "=" ^ c) v))
+    done
   in
   let doc = "Sample satisfying valuations uniformly at random." in
   Cmd.v (Cmd.info "sample" ~doc)
-    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt $ seed $ count)
+    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt query_conv $ seed $ count)
 
 (* ------------------------------------------------------------------ *)
 (* mu (zero-one law scan)                                              *)
@@ -616,53 +382,17 @@ let sample_cmd =
 let mu_cmd =
   let kmax = Arg.(value & opt int 8 & info [ "kmax" ] ~doc:"Largest domain size.") in
   let run obs db_path q kmax =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          (* Only the naive table matters: mu_k replaces the domains with
-             the uniform {1..k}. *)
-          handle_limits @@ fun () ->
-          List.iter
-            (fun (k, v) ->
-              Printf.printf "k=%-3d mu_k = %s\n" k (Qnum.to_string v))
-            (Zero_one.scan q (Idb.facts db) ~kmax))
+    run_refusing obs @@ fun () ->
+    let db = Idb_parser.of_file db_path in
+    (* Only the naive table matters: mu_k replaces the domains with the
+       uniform {1..k}. *)
+    List.iter
+      (fun (k, v) -> Printf.printf "k=%-3d mu_k = %s\n" k (Qnum.to_string v))
+      (Zero_one.scan q (Idb.facts db) ~kmax)
   in
   let doc = "Scan Libkin's mu_k relative frequency over growing domains." in
   Cmd.v (Cmd.info "mu" ~doc)
-    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt $ kmax)
-
-(* ------------------------------------------------------------------ *)
-(* bounds                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let bounds_cmd =
-  let samples =
-    Arg.(value & opt int 5000 & info [ "samples"; "n" ] ~doc:"Sampling budget.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let run obs db_path q samples seed =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          handle_limits @@ fun () ->
-          let b = Count_bounds_alias.bounds ~seed ~samples q db in
-          Printf.printf "#Comp(q) is within [%s, %s]\n"
-            (Nat.to_string b.Count_bounds_alias.lower)
-            (Nat.to_string b.Count_bounds_alias.upper);
-          (match Count_bounds_alias.exact_within ~seed ~samples q db with
-          | Some n ->
-            Printf.printf "bounds meet: #Comp = %s\n" (Nat.to_string n)
-          | None -> ()))
-  in
-  let doc = "Sound lower/upper bounds for #Comp (Section 8 heuristics)." in
-  Cmd.v (Cmd.info "bounds" ~doc)
-    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt $ samples $ seed)
+    Cmdliner.Term.(const run $ obs_term $ db_arg $ query_opt query_conv $ kmax)
 
 (* ------------------------------------------------------------------ *)
 (* reach (datalog reachability counting)                               *)
@@ -675,24 +405,26 @@ let reach_cmd =
   let to_ =
     Arg.(required & opt (some string) None & info [ "to" ] ~doc:"Target node.")
   in
+  (* The request knob's flag, doc and default. *)
+  let jobs =
+    let k = List.find (fun k -> k.Protocol.name = "jobs") Protocol.knobs in
+    Cmdliner.Term.(
+      const (fun v ->
+          Option.get (Json.to_int (Option.value v ~default:k.default)))
+      $ knob_arg k)
+  in
   let run obs db_path from_ to_ jobs =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          let q = Incdb_datalog.Datalog.reachability ~from:from_ ~to_ in
-          handle_limits ~what:"reachability counting" (fun () ->
-              let sat = Incdb_par.Brute_par.count_valuations ~jobs q db in
-              let total = Idb.total_valuations db in
-              Printf.printf
-                "worlds where %s reaches %s (over relation E): %s of %s\n"
-                from_ to_ (Nat.to_string sat) (Nat.to_string total)))
+    run_refusing obs @@ fun () ->
+    let db = Idb_parser.of_file db_path in
+    let q = Incdb_datalog.Datalog.reachability ~from:from_ ~to_ in
+    let sat = Incdb_par.Brute_par.count_valuations ~jobs q db in
+    let total = Idb.total_valuations db in
+    Printf.printf "worlds where %s reaches %s (over relation E): %s of %s\n"
+      from_ to_ (Nat.to_string sat) (Nat.to_string total)
   in
   let doc = "Count worlds where one node reaches another (Datalog over E)." in
   Cmd.v (Cmd.info "reach" ~doc)
-    Cmdliner.Term.(const run $ obs_term $ db_arg $ from_ $ to_ $ jobs_term)
+    Cmdliner.Term.(const run $ obs_term $ db_arg $ from_ $ to_ $ jobs)
 
 (* ------------------------------------------------------------------ *)
 (* repairs                                                             *)
@@ -710,48 +442,39 @@ let repairs_cmd =
            ~doc:"Optional query to filter repairs.")
   in
   let run obs db_path keys query =
-    with_obs obs (fun () ->
-        match load_db db_path with
-        | Error msg ->
-          prerr_endline msg;
-          raise Cli_error
-        | Ok db ->
-          if Idb.nulls db <> [] then begin
-            prerr_endline "repairs: the database must be complete (no nulls)";
-            raise Cli_error
-          end;
-          handle_limits @@ fun () ->
-          let parse_key spec =
-            match String.split_on_char ':' spec with
-            | [ rel; positions ] ->
-              ( rel,
-                String.split_on_char ',' positions
-                |> List.map (fun p -> int_of_string (String.trim p)) )
-            | _ -> failwith ("bad --key " ^ spec)
-          in
-          let keys = List.map parse_key keys in
-          let facts =
-            List.map
-              (fun (f : Idb.fact) ->
-                Incdb_relational.Cdb.fact f.Idb.rel
-                  (List.map
-                     (function
-                       | Term.Const c -> c
-                       | Term.Null _ -> assert false)
-                     (Array.to_list f.Idb.args)))
-              (Idb.facts db)
-          in
-          let r = Incdb_probdb.Repairs.make ~keys facts in
-          Printf.printf "key groups: %d\n"
-            (List.length (Incdb_probdb.Repairs.groups r));
-          Printf.printf "total repairs: %s\n"
-            (Nat.to_string (Incdb_probdb.Repairs.total_repairs r));
-          (match query with
-          | None -> ()
-          | Some q ->
-            Printf.printf "#Repairs(q): %s\n"
-              (Nat.to_string
-                 (Incdb_probdb.Repairs.count_repairs ~query:(Query.Bcq q) r))))
+    run_refusing obs @@ fun () ->
+    let db = Idb_parser.of_file db_path in
+    if Idb.nulls db <> [] then
+      invalid_arg "repairs: the database must be complete (no nulls)";
+    let parse_key spec =
+      match String.split_on_char ':' spec with
+      | [ rel; positions ] ->
+        ( rel,
+          String.split_on_char ',' positions
+          |> List.map (fun p -> int_of_string (String.trim p)) )
+      | _ -> invalid_arg ("bad --key " ^ spec)
+    in
+    let keys = List.map parse_key keys in
+    let facts =
+      List.map
+        (fun (f : Idb.fact) ->
+          Incdb_relational.Cdb.fact f.Idb.rel
+            (List.map
+               (function Term.Const c -> c | Term.Null _ -> assert false)
+               (Array.to_list f.Idb.args)))
+        (Idb.facts db)
+    in
+    let r = Incdb_probdb.Repairs.make ~keys facts in
+    Printf.printf "key groups: %d\n"
+      (List.length (Incdb_probdb.Repairs.groups r));
+    Printf.printf "total repairs: %s\n"
+      (Nat.to_string (Incdb_probdb.Repairs.total_repairs r));
+    match query with
+    | None -> ()
+    | Some q ->
+      Printf.printf "#Repairs(q): %s\n"
+        (Nat.to_string
+           (Incdb_probdb.Repairs.count_repairs ~query:(Query.Bcq q) r))
   in
   let doc = "Count repairs of an inconsistent database under primary keys." in
   Cmd.v (Cmd.info "repairs" ~doc)
@@ -764,21 +487,13 @@ let repairs_cmd =
 let table1_cmd =
   let queries = Arg.(value & pos_all query_conv [] & info [] ~docv:"QUERY...") in
   let run obs queries =
-    with_obs obs (fun () ->
-        handle_limits @@ fun () ->
-        let queries =
-          if queries <> [] then queries
-          else
-            [
-              Cq.q_rx;
-              Cq.q_rxy;
-              Cq.q_rxx;
-              Cq.q_rx_sx;
-              Cq.q_rx_sxy_ty;
-              Cq.q_rxy_sxy;
-            ]
-        in
-        print_string (Classify.table1 queries))
+    run_refusing obs @@ fun () ->
+    let queries =
+      if queries <> [] then queries
+      else
+        [ Cq.q_rx; Cq.q_rxy; Cq.q_rxx; Cq.q_rx_sx; Cq.q_rx_sxy_ty; Cq.q_rxy_sxy ]
+    in
+    print_string (Classify.table1 queries)
   in
   let doc = "Print a Table 1 style dichotomy table for a query corpus." in
   Cmd.v (Cmd.info "table1" ~doc) Cmdliner.Term.(const run $ obs_term $ queries)

@@ -628,12 +628,11 @@ let brute_force ?limit ?(jobs = 1) q db =
    (opaque query, or more events than [max_events] would compile) and the
    caller should enumerate instead. *)
 let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
-    ?cache ?spill ?spill_dir ?spill_budget_bytes ?jobs q db =
+    ?cache ?spill ?spill_dir ?jobs q db =
   Events.with_span "count_val.lineage_elimination" (fun () ->
       match
         Val_kernel.count ?width_bound ?max_events ?max_cells ?order
-          ?cache_entries ?cache ?spill ?spill_dir ?spill_budget_bytes ?jobs q
-          db
+          ?cache_entries ?cache ?spill ?spill_dir ?jobs q db
       with
       | result -> result
       | exception Val_kernel.Too_many_events { events; limit } ->
@@ -643,8 +642,8 @@ let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
         None)
 
 let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
-    ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir
-    ?val_spill_budget_bytes ?jobs q db =
+    ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs q
+    db =
   Events.with_span "count_val.count" (fun () ->
       (* Phase 1: pattern matching -- decide which closed form applies. *)
       let algo =
@@ -677,8 +676,7 @@ let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
           try_kernel ?width_bound:val_width_bound ?max_events:val_max_events
             ?max_cells:val_max_cells ?order:val_order
             ?cache_entries:val_cache_entries ?cache:val_cache ?spill:val_spill
-            ?spill_dir:val_spill_dir ?spill_budget_bytes:val_spill_budget_bytes
-            ?jobs (Query.Bcq q) db
+            ?spill_dir:val_spill_dir ?jobs (Query.Bcq q) db
         with
         | Some n -> (Lineage_elimination, n)
         | None ->
@@ -687,21 +685,20 @@ let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
                 brute_force ?limit:brute_limit ?jobs (Query.Bcq q) db) )))
 
 let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
-    ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir
-    ?val_spill_budget_bytes ?jobs q db =
+    ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs q
+    db =
   match q with
   | Query.Bcq cq ->
     count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
-      ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir
-      ?val_spill_budget_bytes ?jobs cq db
+      ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs
+      cq db
   | Query.Union _ | Query.Bcq_neq _ | Query.Not _ ->
     Events.with_span "count_val.count" (fun () ->
         match
           try_kernel ?width_bound:val_width_bound ?max_events:val_max_events
             ?max_cells:val_max_cells ?order:val_order
             ?cache_entries:val_cache_entries ?cache:val_cache ?spill:val_spill
-            ?spill_dir:val_spill_dir ?spill_budget_bytes:val_spill_budget_bytes
-            ?jobs q db
+            ?spill_dir:val_spill_dir ?jobs q db
         with
         | Some n -> (Lineage_elimination, n)
         | None ->

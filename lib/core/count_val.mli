@@ -89,11 +89,9 @@ val uniform_weighted :
     ([0] disables it) and [val_cache] substitutes a caller-owned cache
     that survives the call (see {!Val_kernel.type-cache} — the incdbd
     warm-reuse hook), [val_max_cells] caps one in-memory message table,
-    [val_spill]/[val_spill_dir] control the kernel's spill-to-disk
-    policy for oversized tables, and [val_spill_budget_bytes] bounds
-    this call's total spill traffic (the budget is per call, so a
-    persistent server gets per-request spill accounting for free); see
-    {!Val_kernel.count}.
+    and [val_spill]/[val_spill_dir] control the kernel's spill-to-disk
+    policy for oversized tables (within the kernel's default per-call
+    spill budget); see {!Val_kernel.count}.
     @raise Idb.Too_many_valuations if brute force is needed but the
     instance exceeds [brute_limit] valuations. *)
 val count :
@@ -106,7 +104,6 @@ val count :
   ?val_cache:Val_kernel.cache ->
   ?val_spill:Val_kernel.spill ->
   ?val_spill_dir:string ->
-  ?val_spill_budget_bytes:int ->
   ?jobs:int ->
   Cq.t ->
   Idb.t ->
@@ -128,7 +125,6 @@ val count_query :
   ?val_cache:Val_kernel.cache ->
   ?val_spill:Val_kernel.spill ->
   ?val_spill_dir:string ->
-  ?val_spill_budget_bytes:int ->
   ?jobs:int ->
   Query.t ->
   Idb.t ->

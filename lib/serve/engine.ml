@@ -1,9 +1,9 @@
 (* Request execution: one function from a parsed request to a response
-   object, shared by the socket server, the stdio mode and the tests.
+   object, shared by the socket server, the stdio mode, idbcount's
+   count/approx/bounds/classify and the tests.
 
-   Every engine failure a one-shot idbcount turns into a one-line
-   message and exit 1 is admission control here: the typed resource
-   limits (Too_many_valuations, Too_many_candidates, Too_many_events,
+   Engine failures are admission control: the typed resource limits
+   (Too_many_valuations, Too_many_candidates, Too_many_events,
    Infeasible) map to structured error responses with a machine-readable
    [kind], the request is refused, and the server keeps serving.  Nothing
    in this module exits or lets an exception escape past [handle]. *)
@@ -67,7 +67,7 @@ let with_spill_dir f =
       | exception Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Error mapping (the handle_limits of the protocol)                   *)
+(* Error mapping (also idbcount's, for its CLI-only subcommands)       *)
 (* ------------------------------------------------------------------ *)
 
 let error_response ~id exn =
@@ -140,6 +140,11 @@ let require_query state (r : Protocol.t) =
 (* Op bodies (result payloads only)                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The warm #Val subproblem cache, unless the request turns caching off:
+   a caller-owned cache overrides the kernel's [cache_entries]. *)
+let val_cache state (r : Protocol.t) =
+  if r.val_cache_entries > 0 then Some (State.val_cache state) else None
+
 let run_count state (r : Protocol.t) ~db_key db q =
   let setting_problem =
     match r.problem with
@@ -156,9 +161,8 @@ let run_count state (r : Protocol.t) ~db_key db q =
         Count_val.count ~brute_limit:r.brute_limit
           ~val_width_bound:r.val_width_bound ~val_max_events:r.val_max_events
           ~val_max_cells:r.val_max_cells ~val_order:r.val_order
-          ~val_cache_entries:r.val_cache_entries
-          ~val_cache:(State.val_cache state) ~val_spill:r.val_spill
-          ~val_spill_dir:spill_dir ~jobs:r.jobs q db
+          ~val_cache_entries:r.val_cache_entries ?val_cache:(val_cache state r)
+          ~val_spill:r.val_spill ~val_spill_dir:spill_dir ~jobs:r.jobs q db
       in
       (Count_val.algorithm_to_string a, n)
     | Protocol.Comp ->
@@ -186,7 +190,7 @@ let run_count state (r : Protocol.t) ~db_key db q =
     ]
 
 let run_approx state (r : Protocol.t) db q =
-  let samples = Option.value ~default:50_000 r.samples in
+  let samples = Protocol.samples r in
   let query = Query.Bcq q in
   with_spill_dir @@ fun spill_dir ->
   let head, est =
@@ -211,13 +215,13 @@ let run_approx state (r : Protocol.t) db q =
       match
         Val_kernel.count ~width_bound:r.val_width_bound
           ~max_cells:r.val_max_cells ~order:r.val_order
-          ~cache_entries:r.val_cache_entries ~cache:(State.val_cache state)
+          ~cache_entries:r.val_cache_entries ?cache:(val_cache state r)
           ~spill:r.val_spill ~spill_dir ~jobs:r.jobs query db
       with
       | Some n -> [ ("exact", Json.String (Nat.to_string n)) ]
       | None -> []
       | exception Val_kernel.Too_many_events { events; limit } ->
-        (* Best-effort cross-check, like the CLI: the estimate stands. *)
+        (* Best-effort cross-check: the estimate stands. *)
         [
           ( "exact_skipped",
             Json.String
@@ -262,7 +266,7 @@ let run_classify q =
     ]
 
 let run_bounds (r : Protocol.t) db q =
-  let samples = Option.value ~default:5_000 r.samples in
+  let samples = Protocol.samples r in
   let b = Comp_bounds.bounds ~seed:r.seed ~samples q db in
   let exact =
     match Comp_bounds.exact_within ~seed:r.seed ~samples q db with

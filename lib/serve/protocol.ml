@@ -1,8 +1,9 @@
 (* Wire protocol of incdbd: one JSON object per line in, one per line
-   out.  The request vocabulary mirrors the idbcount flags one-to-one
-   (same names minus the leading dashes, same defaults), so a request is
-   a CLI invocation in object form and the answers are comparable
-   field-for-field with the one-shot tool. *)
+   out.  The request knobs live in one table ([rows] below).  Decoding
+   and validation, idbcount's flags and their help, and the result-cache
+   key all derive from that table and the decoded record, so each knob's
+   name, accepted values, default and doc are written once, and the one
+   answer path (Engine.handle) serves the socket, stdio and the CLI. *)
 
 open Incdb_core
 module Json = Incdb_obs.Json
@@ -35,7 +36,7 @@ type t = {
   comp_elim : Comp_kernel.choice;
   comp_width_bound : int;
   comp_max_cells : int;
-  samples : int option;  (* op-dependent default: approx 50000, bounds 5000 *)
+  samples : int option;  (* op-dependent default: see [samples] *)
   seed : int;
   meth : meth;
   exact_check : bool;
@@ -49,125 +50,261 @@ let ops =
     "ping"; "shutdown";
   ]
 
+let approx_samples = 50_000
+let bounds_samples = 5_000
+
+let samples r =
+  match r.samples with
+  | Some n -> n
+  | None -> if r.op = "bounds" then bounds_samples else approx_samples
+
 (* ------------------------------------------------------------------ *)
-(* Field extraction                                                    *)
+(* The knob table                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let str_opt j name =
-  match Json.member name j with
-  | None | Some Json.Null -> None
-  | Some (Json.String s) -> Some s
-  | Some _ -> bad "field %S must be a string" name
+type values = Ints | Choices of string list | Flag
 
-let int_def j name default =
-  match Json.member name j with
-  | None | Some Json.Null -> default
-  | Some (Json.Int i) -> i
-  | Some _ -> bad "field %S must be an integer" name
+type knob = {
+  name : string;
+  short : string option;
+  values : values;
+  default : Json.t;
+  ops : string list;
+  doc : string;
+}
 
-let int_opt j name =
-  match Json.member name j with
-  | None | Some Json.Null -> None
-  | Some (Json.Int i) -> Some i
-  | Some _ -> bad "field %S must be an integer" name
+(* A knob plus the setter that stores one wire value in the request.
+   Rows are built only by [int], [enum] and [flag], whose setters check
+   the value's type and name the field when they refuse it. *)
+type row = { knob : knob; set : t -> Json.t -> t }
 
-let bool_def j name default =
-  match Json.member name j with
-  | None | Some Json.Null -> default
-  | Some (Json.Bool b) -> b
-  | Some _ -> bad "field %S must be a boolean" name
+let row ?short ~name ~values ~default ~ops ~doc set =
+  { knob = { name; short; values; default; ops; doc }; set }
 
-let enum_def j name table default =
-  match str_opt j name with
-  | None -> default
-  | Some s -> (
-    match List.assoc_opt s table with
-    | Some v -> v
-    | None ->
-      bad "field %S must be one of %s" name
-        (String.concat ", " (List.map fst table)))
+let int ?short ?default name ~ops ~doc set =
+  let default =
+    Option.fold ~none:Json.Null ~some:(fun d -> Json.Int d) default
+  in
+  row ?short ~name ~values:Ints ~default ~ops ~doc (fun r -> function
+    | Json.Int i -> set r i
+    | _ -> bad "field %S must be an integer" name)
+
+let enum ?short name table ~default ~ops ~doc set =
+  let names = List.map fst table in
+  let default =
+    Json.String (fst (List.find (fun (_, v) -> v = default) table))
+  in
+  row ?short ~name ~values:(Choices names) ~default ~ops ~doc (fun r -> function
+    | Json.String s when List.mem_assoc s table -> set r (List.assoc s table)
+    | _ -> bad "field %S must be one of %s" name (String.concat ", " names))
+
+let flag name ~ops ~doc set =
+  row ~name ~values:Flag ~default:(Json.Bool false) ~ops ~doc (fun r -> function
+    | Json.Bool b -> set r b
+    | _ -> bad "field %S must be a boolean" name)
+
+let count = [ "count" ]
+
+(* The #Val kernel runs for count and for approx's exact check. *)
+let val_kernel = [ "count"; "approx" ]
+let sampled = [ "approx"; "bounds" ]
+
+let rows =
+  [
+    int "jobs" ~short:"j" ~default:1 ~ops:[ "count"; "approx"; "batch" ]
+      ~doc:
+        "Worker domains for the parallel engines (sharded brute force, \
+         parallel Karp-Luby, a batch's sub-requests): 1 is the sequential \
+         path, 0 the machine's recommended domain count.  Answers are \
+         identical at every value."
+      (fun r jobs -> { r with jobs });
+    enum "problem" ~short:"p"
+      [ ("val", Val); ("valuations", Val); ("comp", Comp);
+        ("completions", Comp) ]
+      ~default:Val ~ops:count
+      ~doc:"What to count: satisfying valuations (val) or completions (comp)."
+      (fun r problem -> { r with problem });
+    int "brute_limit" ~default:4_000_000 ~ops:count
+      ~doc:"Maximum number of valuations brute force may enumerate."
+      (fun r brute_limit -> { r with brute_limit });
+    int "val_width_bound" ~default:Val_kernel.default_width_bound
+      ~ops:val_kernel
+      ~doc:
+        "Induced-width bound of the #Val variable-elimination kernel: a \
+         clause component whose elimination would exceed this width is \
+         split by conditioning instead (0 forces pure conditioning)."
+      (fun r val_width_bound -> { r with val_width_bound });
+    int "val_max_events" ~default:Val_kernel.default_max_events ~ops:count
+      ~doc:
+        "Largest Karp-Luby event set the #Val kernel compiles; above it (or \
+         with 0 on any satisfiable instance) the dispatcher falls back to \
+         brute-force enumeration."
+      (fun r val_max_events -> { r with val_max_events });
+    int "val_max_cells" ~default:Val_kernel.default_max_cells ~ops:val_kernel
+      ~doc:
+        "Largest factor table (in cells) the #Val kernel keeps in memory; a \
+         separator message beyond it spills to disk or forces conditioning, \
+         per the spill policy.  Must be at least 1."
+      (fun r val_max_cells -> { r with val_max_cells });
+    enum "val_order"
+      [ ("min-degree", Val_kernel.Min_degree);
+        ("min-fill", Val_kernel.Min_fill) ]
+      ~default:Val_kernel.Min_degree ~ops:val_kernel
+      ~doc:
+        "Elimination-order heuristic of the #Val kernel: min-degree, or \
+         min-fill, which simulates both heuristics per clause component and \
+         keeps whichever order induces the smaller width."
+      (fun r val_order -> { r with val_order });
+    int "val_cache_entries" ~default:Val_kernel.default_cache_entries
+      ~ops:val_kernel
+      ~doc:
+        "Size bound of the #Val kernel's subproblem cache (memoized \
+         component counts keyed on the canonicalized residual lineage).  0 \
+         disables the cache; counts are identical either way."
+      (fun r val_cache_entries -> { r with val_cache_entries });
+    enum "val_spill"
+      [ ("auto", Val_kernel.Auto); ("off", Val_kernel.Off);
+        ("force", Val_kernel.Force) ]
+      ~default:Val_kernel.Auto ~ops:val_kernel
+      ~doc:
+        "Spill policy of the #Val kernel for factor tables over the cell \
+         limit: auto (spill oversized separator messages to a private \
+         directory under TMPDIR, within the spill budget), off (condition \
+         instead), or force (spill every message; a testing mode).  Counts \
+         are identical in all three modes."
+      (fun r val_spill -> { r with val_spill });
+    int "max_candidates" ~default:Comp_candidates.default_max_candidates
+      ~ops:count
+      ~doc:
+        "Largest ground-fact universe the #Comp candidate enumerator may \
+         enumerate (the mask space is 2^N subsets, sharded over the worker \
+         domains)."
+      (fun r max_candidates -> { r with max_candidates });
+    enum "comp_mask"
+      [ ("auto", Comp_candidates.Auto); ("int", Comp_candidates.Int_masks);
+        ("wide", Comp_candidates.Wide_masks) ]
+      ~default:Comp_candidates.Auto ~ops:count
+      ~doc:
+        "Mask representation of the candidate enumerator: auto (single-word \
+         int masks up to the word ceiling, multi-word bitsets beyond), or \
+         force int / wide for A/B measurement."
+      (fun r comp_mask -> { r with comp_mask });
+    enum "comp_elim"
+      [ ("auto", Comp_kernel.Auto); ("off", Comp_kernel.Off);
+        ("force", Comp_kernel.Force) ]
+      ~default:Comp_kernel.Auto ~ops:count
+      ~doc:
+        "The #Comp lineage-elimination arm: auto (used whenever a sweep plan \
+         compiles, before the candidate enumerator), off (skip it: candidate \
+         enumerator, then brute force), or force (require the kernel; a \
+         declined instance is refused instead of falling back)."
+      (fun r comp_elim -> { r with comp_elim });
+    int "comp_width_bound" ~default:Comp_kernel.default_width_bound ~ops:count
+      ~doc:
+        "Width bound of the #Comp elimination sweep: the largest number of \
+         fact windows open at once before the kernel declines the instance \
+         (at plan time, so under comp_elim auto the dispatcher falls back \
+         without wasted work).  Capped at 62 regardless."
+      (fun r comp_width_bound -> { r with comp_width_bound });
+    int "comp_max_cells" ~default:Comp_kernel.default_max_cells ~ops:count
+      ~doc:
+        "Largest in-memory DP frontier (in states) the #Comp elimination \
+         kernel carries across a tree-decomposition bag boundary; a larger \
+         message spills its counts to disk.  Counts are identical either \
+         way."
+      (fun r comp_max_cells -> { r with comp_max_cells });
+    int "samples" ~short:"n" ~ops:sampled
+      ~doc:
+        (Printf.sprintf
+           "Sample count: the estimator's samples for approx (default %d), \
+            the sampling budget for bounds (default %d)."
+           approx_samples bounds_samples)
+      (fun r n -> { r with samples = Some n });
+    int "seed" ~default:42 ~ops:sampled ~doc:"Random seed."
+      (fun r seed -> { r with seed });
+    enum "method" ~short:"m"
+      [ ("karp-luby", Karp_luby); ("monte-carlo", Monte_carlo) ]
+      ~default:Karp_luby ~ops:[ "approx" ]
+      ~doc:"Estimator: karp-luby (FPRAS, Corollary 5.3) or monte-carlo."
+      (fun r meth -> { r with meth });
+    flag "exact_check" ~ops:[ "approx" ]
+      ~doc:
+        "Also compute the exact #Val through the variable-elimination kernel \
+         (honoring the val_* knobs) and report it next to the estimate, when \
+         the event set fits the kernel's limit."
+      (fun r exact_check -> { r with exact_check });
+  ]
+
+let knobs = List.map (fun row -> row.knob) rows
+
+(* A null member is an absent one: the knob keeps its default. *)
+let decode row r = function Json.Null -> r | v -> row.set r v
+
+(* The request nothing has been said about.  The knob fields here are
+   placeholders, each replaced by its row's default just below. *)
+let defaults =
+  List.fold_left
+    (fun r row -> decode row r row.knob.default)
+    {
+      id = Json.Null; op = ""; source = None; query = None; fresh = false;
+      caches = false; subs = []; problem = Val; jobs = 0; brute_limit = 0;
+      val_width_bound = 0; val_max_events = 0; val_max_cells = 0;
+      val_order = Val_kernel.Min_degree; val_cache_entries = 0;
+      val_spill = Val_kernel.Auto; max_candidates = 0;
+      comp_mask = Comp_candidates.Auto; comp_elim = Comp_kernel.Auto;
+      comp_width_bound = 0; comp_max_cells = 0; samples = None; seed = 0;
+      meth = Karp_luby; exact_check = false;
+    }
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let of_json j =
-  match j with
-  | Json.Assoc _ ->
-    let op =
-      match str_opt j "op" with
-      | Some op when List.mem op ops -> op
-      | Some op -> bad "unknown op %S" op
-      | None -> bad "missing field \"op\""
-    in
-    let source =
-      match (str_opt j "db", str_opt j "db_text") with
-      | Some _, Some _ -> bad "give either \"db\" or \"db_text\", not both"
-      | Some p, None -> Some (Path p)
-      | None, Some s -> Some (Inline s)
-      | None, None -> None
-    in
-    let subs =
-      match Json.member "requests" j with
-      | None | Some Json.Null -> []
-      | Some (Json.List l) -> l
-      | Some _ -> bad "field \"requests\" must be an array"
-    in
-    {
-      id = Option.value ~default:Json.Null (Json.member "id" j);
-      op;
-      source;
-      query = str_opt j "query";
-      fresh = bool_def j "fresh" false;
-      problem =
-        enum_def j "problem"
-          [ ("val", Val); ("valuations", Val); ("comp", Comp);
-            ("completions", Comp) ]
-          Val;
-      jobs = int_def j "jobs" 1;
-      brute_limit = int_def j "brute_limit" 4_000_000;
-      val_width_bound =
-        int_def j "val_width_bound" Val_kernel.default_width_bound;
-      val_max_events = int_def j "val_max_events" Val_kernel.default_max_events;
-      val_max_cells = int_def j "val_max_cells" Val_kernel.default_max_cells;
-      val_order =
-        enum_def j "val_order"
-          [ ("min-degree", Val_kernel.Min_degree);
-            ("min-fill", Val_kernel.Min_fill) ]
-          Val_kernel.Min_degree;
-      val_cache_entries =
-        int_def j "val_cache_entries" Val_kernel.default_cache_entries;
-      val_spill =
-        enum_def j "val_spill"
-          [ ("auto", Val_kernel.Auto); ("off", Val_kernel.Off);
-            ("force", Val_kernel.Force) ]
-          Val_kernel.Auto;
-      max_candidates =
-        int_def j "max_candidates" Comp_candidates.default_max_candidates;
-      comp_mask =
-        enum_def j "comp_mask"
-          [ ("auto", Comp_candidates.Auto);
-            ("int", Comp_candidates.Int_masks);
-            ("wide", Comp_candidates.Wide_masks) ]
-          Comp_candidates.Auto;
-      comp_elim =
-        enum_def j "comp_elim"
-          [ ("auto", Comp_kernel.Auto); ("off", Comp_kernel.Off);
-            ("force", Comp_kernel.Force) ]
-          Comp_kernel.Auto;
-      comp_width_bound =
-        int_def j "comp_width_bound" Comp_kernel.default_width_bound;
-      comp_max_cells = int_def j "comp_max_cells" Comp_kernel.default_max_cells;
-      samples = int_opt j "samples";
-      seed = int_def j "seed" 42;
-      meth =
-        enum_def j "method"
-          [ ("karp-luby", Karp_luby); ("monte-carlo", Monte_carlo) ]
-          Karp_luby;
-      exact_check = bool_def j "exact_check" false;
-      caches = bool_def j "caches" false;
-      subs;
-    }
+let str name = function
+  | Json.Null -> None
+  | Json.String s -> Some s
+  | _ -> bad "field %S must be a string" name
+
+let bool name = function
+  | Json.Null -> false
+  | Json.Bool b -> b
+  | _ -> bad "field %S must be a boolean" name
+
+(* One member of the request object: the fields that are not knobs
+   first, then the table; anything else is refused by name. *)
+let member r (name, v) =
+  match name with
+  | "id" -> { r with id = v }
+  | "op" -> (
+    match str name v with
+    | Some op when List.mem op ops -> { r with op }
+    | Some op -> bad "unknown op %S" op
+    | None -> r)
+  | "db" | "db_text" -> (
+    match (str name v, r.source) with
+    | None, _ -> r
+    | Some _, Some _ -> bad "give either \"db\" or \"db_text\", not both"
+    | Some s, None ->
+      { r with source = Some (if name = "db" then Path s else Inline s) })
+  | "query" -> { r with query = str name v }
+  | "fresh" -> { r with fresh = bool name v }
+  | "caches" -> { r with caches = bool name v }
+  | "requests" -> (
+    match v with
+    | Json.Null -> r
+    | Json.List subs -> { r with subs }
+    | _ -> bad "field \"requests\" must be an array")
+  | _ -> (
+    match List.find_opt (fun row -> row.knob.name = name) rows with
+    | Some row -> decode row r v
+    | None -> bad "unknown field %S" name)
+
+let of_json = function
+  | Json.Assoc members ->
+    let r = List.fold_left member defaults members in
+    if r.op = "" then bad "missing field \"op\"";
+    r
   | _ -> bad "request must be a JSON object"
 
 let of_line line =
@@ -179,60 +316,19 @@ let of_line line =
 (* Result-cache key                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical parameter string of a request, given the content key of its
-   database.  [id], [fresh] and [jobs] are excluded: the first two are
-   delivery concerns, and every engine is bit-identical across job
-   counts, so a warm result is valid at any [jobs]. *)
+(* The decoded request itself, minus what does not shape the answer:
+   [id] and [fresh] are delivery concerns, every engine answers
+   bit-identically at any [jobs], [subs] only batches carry (never
+   cached), and the database is named by its content key rather than
+   its source.  A field added to [t] is keyed with no code here, so the
+   worst an oversight can cost is a missed hit, never a stale answer.
+   No_sharing keeps the bytes a function of the value alone. *)
 let cache_key r ~db_key =
-  let b = Buffer.create 128 in
-  let add k v =
-    Buffer.add_string b k;
-    Buffer.add_char b '=';
-    Buffer.add_string b v;
-    Buffer.add_char b ';'
-  in
-  add "op" r.op;
-  add "db" db_key;
-  add "query" (Option.value ~default:"" r.query);
-  (match r.op with
-  | "count" ->
-    add "problem" (match r.problem with Val -> "val" | Comp -> "comp");
-    add "brute_limit" (string_of_int r.brute_limit);
-    add "val_width_bound" (string_of_int r.val_width_bound);
-    add "val_max_events" (string_of_int r.val_max_events);
-    add "val_max_cells" (string_of_int r.val_max_cells);
-    add "val_order" (Val_kernel.order_to_string r.val_order);
-    add "val_cache_entries" (string_of_int r.val_cache_entries);
-    add "val_spill" (Val_kernel.spill_to_string r.val_spill);
-    add "max_candidates" (string_of_int r.max_candidates);
-    add "comp_mask"
-      (match r.comp_mask with
-      | Comp_candidates.Auto -> "auto"
-      | Comp_candidates.Int_masks -> "int"
-      | Comp_candidates.Wide_masks -> "wide");
-    add "comp_elim"
-      (match r.comp_elim with
-      | Comp_kernel.Auto -> "auto"
-      | Comp_kernel.Off -> "off"
-      | Comp_kernel.Force -> "force");
-    add "comp_width_bound" (string_of_int r.comp_width_bound);
-    add "comp_max_cells" (string_of_int r.comp_max_cells)
-  | "approx" ->
-    add "samples" (string_of_int (Option.value ~default:50_000 r.samples));
-    add "seed" (string_of_int r.seed);
-    add "method"
-      (match r.meth with Karp_luby -> "karp-luby" | Monte_carlo -> "monte-carlo");
-    add "exact_check" (string_of_bool r.exact_check);
-    add "val_width_bound" (string_of_int r.val_width_bound);
-    add "val_max_cells" (string_of_int r.val_max_cells);
-    add "val_order" (Val_kernel.order_to_string r.val_order);
-    add "val_cache_entries" (string_of_int r.val_cache_entries);
-    add "val_spill" (Val_kernel.spill_to_string r.val_spill)
-  | "bounds" ->
-    add "samples" (string_of_int (Option.value ~default:5_000 r.samples));
-    add "seed" (string_of_int r.seed)
-  | _ -> ());
-  Buffer.contents b
+  Marshal.to_string
+    ( db_key,
+      { r with
+        id = Json.Null; fresh = false; jobs = 0; subs = []; source = None } )
+    [ Marshal.No_sharing ]
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)

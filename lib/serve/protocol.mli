@@ -1,15 +1,18 @@
 (** The incdbd wire protocol: newline-delimited JSON, one request object
     per line in, one response object per line out.
 
-    A request is an idbcount invocation in object form — the field
-    vocabulary is the CLI flag set without the leading dashes and with
-    the same defaults ([brute_limit], [val_width_bound],
-    [val_max_events], [val_order], [comp_elim], [samples], [seed], …) —
-    plus the server-side fields [id] (echoed verbatim in the response),
-    [fresh] (bypass the result cache), [caches] (for [reset]) and
-    [requests] (the sub-requests of a [batch]).  The database is named
-    by [db] (a file path, cached by content stamp) or [db_text] (the
-    Idb_parser source inline).
+    A request names an [op] (one of {!ops}), its database by [db] (a file
+    path, cached by content stamp) or [db_text] (the Idb_parser source
+    inline), and its [query].  The settings of the engines are the
+    request {e knobs} of {!knobs}: one table whose rows hold each knob's
+    name, accepted values, default, the ops that read it, and doc.
+    {!of_json} decodes and validates through that table, idbcount derives
+    its flags and [--help] from it (the flag of [val_width_bound] is
+    [--val-width-bound]), and {!cache_key} keys the decoded record, so no
+    knob is written twice.  Besides the knobs a request may carry [id]
+    (echoed verbatim in the response), [fresh] (bypass the result cache),
+    [caches] (for [reset]) and [requests] (the sub-requests of a
+    [batch]); any other member is refused by name.
 
     Responses are [{"id": …, "ok": true, "result": {…}}] or
     [{"id": …, "ok": false, "error": {"kind": …, "message": …}}];
@@ -56,15 +59,41 @@ type t = {
 (** The accepted values of the [op] field. *)
 val ops : string list
 
-(** @raise Bad on a non-object, an unknown [op], or an ill-typed field. *)
+(** The values a knob accepts: any integer, one of the listed names, or
+    a boolean. *)
+type values = Ints | Choices of string list | Flag
+
+(** One row of the knob table.  [name] is the request field; [short] a
+    one-letter alias of its idbcount flag; [default] the wire value an
+    absent knob takes ([Null] for [samples], whose default depends on
+    the op — see {!samples}); [ops] the ops whose answer reads it. *)
+type knob = {
+  name : string;
+  short : string option;
+  values : values;
+  default : Json.t;
+  ops : string list;
+  doc : string;
+}
+
+(** The knob table, in [--help] order. *)
+val knobs : knob list
+
+(** The request's sample count, or its op's default (named in the doc of
+    the [samples] knob). *)
+val samples : t -> int
+
+(** @raise Bad on a non-object, a missing or unknown [op], an unknown
+    member, or an ill-typed or out-of-table value. *)
 val of_json : Json.t -> t
 
 (** Parse one request line; never raises. *)
 val of_line : string -> (t, string) result
 
-(** Canonical parameter string of a request given its database's content
-    key — the server's result-cache key.  [id], [fresh] and [jobs] are
-    excluded (results are bit-identical at every job count). *)
+(** The server's result-cache key of a request given its database's
+    content key: the decoded record with [id], [fresh], [jobs] and the
+    batch's [requests] cleared (results are bit-identical at every job
+    count) and the source replaced by [db_key]. *)
 val cache_key : t -> db_key:string -> string
 
 (** [ok ~id result] / [err ~id ~kind msg] build response objects;

@@ -87,6 +87,22 @@ let test_protocol_parse () =
   bad {|{"op":"frobnicate"}|};
   bad {|{"op":"count","jobs":"two"}|};
   bad {|{"op":"count","db":"a","db_text":"b"}|};
+  bad {|{"op":"count","val_order":"max-degree"}|};
+  (* A misspelled knob is refused by name, never answered with the
+     default it failed to override. *)
+  List.iter
+    (fun field ->
+      match
+        Protocol.of_line
+          (Printf.sprintf {|{"op":"count","db":"x.idb","query":"R(x)","%s":1}|}
+             field)
+      with
+      | Ok _ -> Alcotest.fail ("accepted unknown field " ^ field)
+      | Error msg ->
+        Alcotest.(check string) "refusal names the field"
+          (Printf.sprintf "unknown field %S" field)
+          msg)
+    [ "brute_limt"; "val_max_event" ];
   (* Unknown ids are echoed verbatim, whatever their type. *)
   match Protocol.of_line {|{"op":"ping","id":{"k":[1,2]}}|} with
   | Ok r ->
@@ -94,24 +110,67 @@ let test_protocol_parse () =
       (Json.to_string r.Protocol.id)
   | Error msg -> Alcotest.fail msg
 
+(* Every knob of the table, at a value other than its default, must
+   change the key of every op that reads it — unless it decodes to the
+   same request (an alias such as "valuations" for "val"); [id], [fresh]
+   and [jobs] never may. *)
 let test_cache_key () =
-  let parse line =
-    match Protocol.of_line line with
-    | Ok r -> r
-    | Error m -> Alcotest.fail m
+  let parse members =
+    match Protocol.of_json (Json.Assoc members) with
+    | r -> r
+    | exception Protocol.Bad m -> Alcotest.fail m
   in
-  let base = {|{"op":"count","db":"x.idb","query":"R(x)"}|} in
-  let k line = Protocol.cache_key (parse line) ~db_key:"K" in
-  Alcotest.(check string)
-    "id, fresh and jobs do not key"
-    (k base)
-    (k {|{"op":"count","db":"x.idb","query":"R(x)","id":7,"fresh":true,"jobs":4}|});
-  Alcotest.(check bool)
-    "limits key" true
-    (k base <> k {|{"op":"count","db":"x.idb","query":"R(x)","brute_limit":1}|});
-  Alcotest.(check bool)
-    "problem keys" true
-    (k base <> k {|{"op":"count","db":"x.idb","query":"R(x)","problem":"comp"}|})
+  let base op =
+    [ ("op", Json.String op); ("db", Json.String "x.idb");
+      ("query", Json.String "R(x)") ]
+  in
+  let key r = Protocol.cache_key r ~db_key:"K" in
+  let values (k : Protocol.knob) =
+    match k.values with
+    | Protocol.Ints -> [ Json.Int 0; Json.Int 1; Json.Int 7 ]
+    | Protocol.Choices names -> List.map (fun c -> Json.String c) names
+    | Protocol.Flag -> [ Json.Bool false; Json.Bool true ]
+  in
+  List.iter
+    (fun (k : Protocol.knob) ->
+      List.iter
+        (fun op ->
+          let r0 = parse (base op) in
+          let keyed =
+            List.filter
+              (fun v ->
+                let r = parse (base op @ [ (k.name, v) ]) in
+                let what =
+                  Printf.sprintf "%s=%s on %s" k.name (Json.to_string v) op
+                in
+                if r = r0 || k.name = "jobs" then begin
+                  Alcotest.(check string) (what ^ " does not key") (key r0)
+                    (key r);
+                  false
+                end
+                else begin
+                  Alcotest.(check bool) (what ^ " keys") true (key r <> key r0);
+                  true
+                end)
+              (values k)
+          in
+          if k.name <> "jobs" && keyed = [] then
+            Alcotest.failf "%s on %s: no non-default value tried" k.name op)
+        k.ops)
+    Protocol.knobs;
+  List.iter
+    (fun op ->
+      let delivery =
+        [ ("id", Json.Int 7); ("fresh", Json.Bool true); ("jobs", Json.Int 4) ]
+      in
+      Alcotest.(check string)
+        (op ^ ": id, fresh and jobs do not key")
+        (key (parse (base op)))
+        (key (parse (base op @ delivery))))
+    [ "count"; "approx"; "bounds"; "classify" ];
+  Alcotest.(check bool) "the database keys" true
+    (key (parse (base "count"))
+    <> Protocol.cache_key (parse (base "count")) ~db_key:"K2")
 
 (* ------------------------------------------------------------------ *)
 (* Engine: answers pinned to the counting library                      *)
@@ -183,6 +242,29 @@ let test_warm_val_cache () =
     (hits1 > hits0);
   Alcotest.(check string) "warm answer identical" (Json.to_string cold)
     (Json.to_string warm)
+
+(* "val_cache_entries": 0 turns the kernel's cache off in the server
+   too: no lookups at all, and the same count. *)
+let test_val_cache_off () =
+  let state = State.create () in
+  let db_path = testdata "census.idb" in
+  let cached =
+    result_of (handle state (count_req ~db:db_path ~query:census_query ()))
+  in
+  let hits0 = counter "val_kernel.cache_hits" in
+  let misses0 = counter "val_kernel.cache_misses" in
+  let off =
+    result_of
+      (handle state
+         (count_req ~db:db_path ~query:census_query ~fresh:true
+            ~extra:{|,"val_cache_entries":0|} ()))
+  in
+  Alcotest.(check int) "no cache hits" 0
+    (counter "val_kernel.cache_hits" - hits0);
+  Alcotest.(check int) "no cache misses" 0
+    (counter "val_kernel.cache_misses" - misses0);
+  Alcotest.(check string) "count unchanged" (get_str "count" cached)
+    (get_str "count" off)
 
 let test_warm_comp_memos () =
   let state = State.create () in
@@ -423,6 +505,7 @@ let () =
       ( "warm",
         [
           Alcotest.test_case "val kernel cache" `Quick test_warm_val_cache;
+          Alcotest.test_case "val kernel cache off" `Quick test_val_cache_off;
           Alcotest.test_case "comp transform memos" `Quick test_warm_comp_memos;
           Alcotest.test_case "classify verdicts" `Quick test_warm_classify;
           Alcotest.test_case "result cache" `Quick test_result_cache;
