@@ -1,17 +1,29 @@
 (** Pluggable storage for the [#Val] kernel's factor tables.
 
-    A factor is a table of {!Incdb_bignum.Nat} weights over the
-    mixed-radix cells of a sorted slot scope ([scope.(0)] is the fastest
-    digit, matching {!Val_kernel}'s historical layout).  The kernel's
+    A factor is a table of non-negative counts over the mixed-radix
+    cells of a sorted slot scope ([scope.(0)] is the fastest digit,
+    matching {!Val_kernel}'s historical layout).  The kernel's
     tree-decomposition DP produces them as upward separator messages;
     most fit comfortably in RAM, but a wide separator can exceed the
     in-memory cell cap — the dpdb lesson is that such a table should
     become a {e streaming} problem, not a hard failure.
 
+    {b Cell format.}  Cells are machine ints: almost every count fits in
+    62 bits.  The rare cell past [max_int] is stored as {!big} in the int
+    table, with its exact {!Incdb_bignum.Nat} value in a sparse side
+    table of (index, value) pairs.  {!get_int} reads the int (or
+    {!big}), {!get} always reads the exact value; {!append} accepts any
+    [Nat] and stores it as an int whenever it fits, so callers that
+    think in [Nat] (the [#Comp] kernel's spilled frontier) never see the
+    format.  {!checked_mul} and {!checked_add} are the overflow-checked
+    cell arithmetic: they answer {!big} instead of wrapping, which is
+    the caller's cue to redo that one cell in [Nat].
+
     {!FACTOR_STORE} is the contract both backends implement:
 
-    - {!Memory} — plain [Nat.t array]s, the historical representation;
+    - {!Memory} — one int array plus its side table;
     - {!Disk} — tables serialized to a temp file in fixed-size blocks of
+      cells, each block a [Marshal]ed int array plus the block's big
       cells (so the kernel's block-sequential writes and block-local
       reads touch one block at a time), with byte/IO accounting through
       the [val_kernel.spilled_factors], [val_kernel.spill_bytes] and
@@ -34,6 +46,22 @@ type meta = { scope : int array; sizes : int array; cells : int }
     size. *)
 val make_meta : scope:int array -> sizes:int array -> meta
 
+(** {2 Cell arithmetic} *)
+
+(** [-1]: the int-table mark of a cell whose value exceeds [max_int]
+    (read it with {!get}), and the "does not fit" answer of the checked
+    operations below. *)
+val big : int
+
+(** [checked_mul a b] on cells (non-negative ints or {!big}) is the
+    exact product when it fits in an int, [0] when either operand is
+    [0] (even against {!big}), and {!big} otherwise. *)
+val checked_mul : int -> int -> int
+
+(** [checked_add a b] is the exact sum when it fits in an int, {!big}
+    when it does not or when either operand is {!big}. *)
+val checked_add : int -> int -> int
+
 module type FACTOR_STORE = sig
   (** Backend name, for logs and trace args. *)
   val backend : string
@@ -50,8 +78,13 @@ module type FACTOR_STORE = sig
       the writer still abortable. *)
   val create : ?dir:string -> ?on_write:(int -> unit) -> meta -> writer
 
-  (** Cells must be appended in index order, exactly [meta.cells] of
-      them before {!finish}. *)
+  (** Append a cell that fits in an int.  Cells must be appended (by
+      either function) in index order, exactly [meta.cells] of them
+      before {!finish}.
+      @raise Invalid_argument on a negative value. *)
+  val append_int : writer -> int -> unit
+
+  (** Append any count; it is stored as an int whenever it fits. *)
   val append : writer -> Nat.t -> unit
 
   (** @raise Invalid_argument if fewer than [meta.cells] cells were
@@ -67,9 +100,13 @@ module type FACTOR_STORE = sig
   (** Bytes the factor occupies on disk ([0] for {!Memory}). *)
   val byte_size : factor -> int
 
-  (** Random access by cell index.  The {!Disk} backend caches one
-      decoded block; the kernel's enumeration order keeps consecutive
-      reads block-local per child factor. *)
+  (** Random access by cell index: the cell's value, or {!big} when it
+      does not fit in an int.  The {!Disk} backend caches one decoded
+      block; the kernel's enumeration order keeps consecutive reads
+      block-local per child factor. *)
+  val get_int : factor -> int -> int
+
+  (** The cell's exact value, whatever its size. *)
   val get : factor -> int -> Nat.t
 
   (** Free the table (delete the temp file).  Idempotent.  [get] after
@@ -93,10 +130,12 @@ type writer = W_memory of Memory.writer | W_disk of Disk.writer
     [spill] is true, a {!Memory} writer otherwise. *)
 val create : spill:bool -> ?dir:string -> ?on_write:(int -> unit) -> meta -> writer
 
+val append_int : writer -> int -> unit
 val append : writer -> Nat.t -> unit
 val finish : writer -> t
 val abort : writer -> unit
 val meta : t -> meta
+val get_int : t -> int -> int
 val get : t -> int -> Nat.t
 val byte_size : t -> int
 val release : t -> unit

@@ -59,6 +59,7 @@ let slots_eliminated = Metrics.counter "val_kernel.slots_eliminated"
 let cache_hits = Metrics.counter "val_kernel.cache_hits"
 let cache_misses = Metrics.counter "val_kernel.cache_misses"
 let bags_processed = Metrics.counter "val_kernel.bags"
+let nat_cells = Metrics.counter "val_kernel.nat_cells"
 let treedec_width_gauge = Metrics.gauge "treedec.width"
 
 (* ------------------------------------------------------------------ *)
@@ -95,11 +96,13 @@ let red_size ctx j =
   let m = Array.length (Hashtbl.find ctx.vals j) in
   if ctx.dom.(j) > m then m + 1 else m
 
-(* Weight of reduced value [r] of slot [j]: mentioned values come first
-   (weight 1 each), the trailing "other" bucket aggregates the rest. *)
-let red_weight ctx j r =
+(* Reduced values of slot [j]: the mentioned values first (weight 1
+   each — so digit 0 always has weight 1, every component slot being
+   mentioned), then the "other" bucket at digit [m], of weight
+   [|dom| - m], when the domain has more values. *)
+let other_weight ctx j =
   let m = Array.length (Hashtbl.find ctx.vals j) in
-  if r < m then Nat.one else Nat.of_int (ctx.dom.(j) - m)
+  if ctx.dom.(j) > m then Some (m, ctx.dom.(j) - m) else None
 
 let red_index ctx j v =
   let vals = Hashtbl.find ctx.vals j in
@@ -266,7 +269,9 @@ let store_mode_to_string = function
   | Spill_all -> "spill-all"
 
 (* Rough serialized footprint of one table cell, for budget admission
-   only (most cells are one-digit Nats). *)
+   only: a spilled cell is a [Marshal]ed int of 1 to 9 bytes, most
+   counts being small, so 16 leaves room for the block framing and the
+   rare [Nat] cell. *)
 let est_cell_bytes = 16
 
 let sat_add a b =
@@ -286,48 +291,6 @@ let estimate_stream_bytes ctx td =
       in
       sat_add acc (cells * est_cell_bytes))
     0 td.Treedec.bags
-
-(* Does the assignment in [digits] (indexed by bag position) extend some
-   clause of [cls]?  Clauses are (bag position, reduced digit) pairs.
-   Plain recursive helpers so the per-cell hot path allocates nothing. *)
-let clause_matches digits cl =
-  let n = Array.length cl in
-  let rec go t =
-    t >= n
-    ||
-    let p, r = cl.(t) in
-    digits.(p) = r && go (t + 1)
-  in
-  go 0
-
-let any_clause digits cls =
-  let n = Array.length cls in
-  let rec go t = t < n && (clause_matches digits cls.(t) || go (t + 1)) in
-  go 0
-
-(* Index into a child message for the current bag assignment. *)
-let kid_index digits poss strides =
-  let idx = ref 0 in
-  for t = 0 to Array.length poss - 1 do
-    idx := !idx + (digits.(poss.(t)) * strides.(t))
-  done;
-  !idx
-
-(* Advance the digits at bag positions [poss] (fastest first) one step,
-   wrapping at the end. *)
-let advance digits sizes poss =
-  let n = Array.length poss in
-  let rec go t =
-    if t < n then begin
-      let p = poss.(t) in
-      if digits.(p) + 1 < sizes.(p) then digits.(p) <- digits.(p) + 1
-      else begin
-        digits.(p) <- 0;
-        go (t + 1)
-      end
-    end
-  in
-  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Connected components                                                *)
@@ -448,12 +411,23 @@ type scfg = {
 
 (* DP over the rooted clique tree: per bag in postorder, stream the
    upward message over the parent separator — for each separator cell
-   (outer loop, so writes are sequential) sum over the bag's remaining
+   (slow digits, so writes are sequential) sum over the bag's remaining
    digits the product of the child messages, a zero indicator for any
    clause joined at this bag, and the reduced weights of the summed-out
    slots.  Each slot is marginalized exactly once (at its topmost bag,
    by the running intersection property), so the root's single cell is
    the component's avoidance count.
+
+   One odometer sweeps the bag — summed-out digits fastest, then the
+   separator's — and each digit change updates, instead of every cell
+   recomputing: per clause, how many of its literals the digits
+   violate (a cell is zero while some clause has none); each child's
+   cell offset; and the product of the summed-out slots' weights.
+   Cells are ints under {!Factor_store}'s checked arithmetic: a cell
+   whose product does not fit, or that reads a child cell past
+   [max_int], is redone in [Nat] on its own, and a separator sum that
+   overflows carries into a [Nat] accumulator, so counts stay exact and
+   nothing is computed twice.  All of that scratch is local to the bag.
 
    Nothing but separator messages is ever materialized: the bag table
    itself exists one cell at a time, which is what lets an oversized
@@ -510,27 +484,17 @@ let eliminate_treedec cfg ctx mode td clauses =
     let in_sep = Array.make k false in
     Array.iter (fun p -> in_sep.(p) <- true) sep_pos;
     let kids =
-      List.map
-        (fun j -> match msgs.(j) with Some f -> f | None -> assert false)
-        children.(i)
-    in
-    (* Per child: bag position and stride of each of its scope slots. *)
-    let kid_access =
       Array.of_list
         (List.map
-           (fun f ->
-             let fm = Factor_store.meta f in
-             let n = Array.length fm.Factor_store.scope in
-             let poss = Array.make n 0 and strides = Array.make n 0 in
-             let stride = ref 1 in
-             Array.iteri
-               (fun t s ->
-                 poss.(t) <- pos_of s;
-                 strides.(t) <- !stride;
-                 stride := !stride * fm.Factor_store.sizes.(t))
-               fm.Factor_store.scope;
-             (f, poss, strides))
-           kids)
+           (fun j -> match msgs.(j) with Some f -> f | None -> assert false)
+           children.(i))
+    in
+    let nk = Array.length kids in
+    (* Per child: the bag position of each of its scope slots. *)
+    let kid_poss =
+      Array.map
+        (fun f -> Array.map pos_of (Factor_store.meta f).Factor_store.scope)
+        kids
     in
     (* Summed-out positions, fastest first.  When a spilled child is in
        play, the largest one's low-stride slots go fastest so its block
@@ -541,18 +505,16 @@ let eliminate_treedec cfg ctx mode td clauses =
         if not in_sep.(p) then all := p :: !all
       done;
       let all = !all in
-      let big =
-        Array.fold_left
-          (fun acc (f, poss, _) ->
-            if not (Factor_store.spilled f) then acc
-            else
-              let b = Factor_store.byte_size f in
-              match acc with
-              | Some (_, b') when b' >= b -> acc
-              | _ -> Some (poss, b))
-          None kid_access
-      in
-      match big with
+      let big = ref None in
+      Array.iteri
+        (fun t f ->
+          if Factor_store.spilled f then
+            let b = Factor_store.byte_size f in
+            match !big with
+            | Some (_, b') when b' >= b -> ()
+            | _ -> big := Some (kid_poss.(t), b))
+        kids;
+      match !big with
       | None -> Array.of_list all
       | Some (poss, _) ->
         let hot =
@@ -561,23 +523,140 @@ let eliminate_treedec cfg ctx mode td clauses =
         let cold = List.filter (fun p -> not (List.mem p hot)) all in
         Array.of_list (hot @ cold)
     in
+    let n_inner = Array.length inner in
     let inner_cells = Array.fold_left (fun c p -> c * sizes.(p)) 1 inner in
-    (* A summed-out slot's weight differs from 1 only on its trailing
-       "other" digit; precompute that one weight per slot. *)
-    let other_w =
-      Array.map
-        (fun p ->
-          let s = bag.(p) in
-          let mv = Array.length (Hashtbl.find ctx.vals s) in
-          if ctx.dom.(s) > mv then Some (red_weight ctx s mv) else None)
-        inner
-    in
     let cls =
       Array.of_list
         (List.map
            (fun c ->
              Array.map (fun (s, v) -> (pos_of s, red_index ctx s v)) c)
            bag_clauses.(i))
+    in
+    (* Odometer levels, fastest first; a summed-out level carries its
+       slot's "other" digit and weight ([-1] and [1] when it has none,
+       and on every separator level). *)
+    let levels = Array.append inner sep_pos in
+    let other_digit = Array.make k (-1) and other_w = Array.make k 1 in
+    Array.iteri
+      (fun l p ->
+        match other_weight ctx bag.(p) with
+        | Some (d, w) ->
+          other_digit.(l) <- d;
+          other_w.(l) <- w
+        | None -> ())
+      inner;
+    (* The fastest level's position [p0] changes on almost every step,
+       so its literals stay out of the per-clause counts: [lit0] holds
+       each clause's [p0] digit, if any (a clause fixes each slot at
+       most once).  [lits] maps every other (position, digit) to the
+       clauses holding that literal. *)
+    let p0 = levels.(0) in
+    let lit0 = Array.make (Array.length cls) (-1) in
+    let lits =
+      let acc = Array.map (fun n -> Array.make n []) sizes in
+      Array.iteri
+        (fun c cl ->
+          Array.iter
+            (fun (p, r) ->
+              if p = p0 then lit0.(c) <- r
+              else acc.(p).(r) <- c :: acc.(p).(r))
+            cl)
+        cls;
+      Array.map (Array.map (fun l -> Array.of_list (List.rev l))) acc
+    in
+    (* Per bag position, the children it indexes and its stride there. *)
+    let step_kid = Array.make k [||] and step_stride = Array.make k [||] in
+    Array.iteri
+      (fun t poss ->
+        let sizes = (Factor_store.meta kids.(t)).Factor_store.sizes in
+        let stride = ref 1 in
+        Array.iteri
+          (fun u p ->
+            step_kid.(p) <- Array.append step_kid.(p) [| t |];
+            step_stride.(p) <- Array.append step_stride.(p) [| !stride |];
+            stride := !stride * sizes.(u))
+          poss)
+      kid_poss;
+    (* Sweep state, all digits at 0: per clause, how many of its
+       literals off [p0] the digits violate; the clauses with none, in
+       [blocked] (no [p0] literal: the cell is zero) or in [ready] under
+       their [p0] digit (zero while [p0] holds it); child offsets; and
+       [above.(l)] = product of the weights of the levels slower than
+       [l] (digit 0 weighs 1, so everything starts at 1). *)
+    let digits = Array.make k 0 in
+    let missing =
+      Array.map
+        (Array.fold_left
+           (fun n (p, r) -> if p <> p0 && r <> 0 then n + 1 else n)
+           0)
+        cls
+    in
+    let blocked = ref 0 and ready = Array.make sizes.(p0) 0 in
+    let hold c delta =
+      let r = lit0.(c) in
+      if r < 0 then blocked := !blocked + delta
+      else ready.(r) <- ready.(r) + delta
+    in
+    Array.iteri (fun c n -> if n = 0 then hold c 1) missing;
+    let offs = Array.make nk 0 in
+    let above = Array.make k 1 in
+    let weight = ref 1 in
+    let move p a b =
+      let la = lits.(p).(a) in
+      for x = 0 to Array.length la - 1 do
+        let c = la.(x) in
+        if missing.(c) = 0 then hold c (-1);
+        missing.(c) <- missing.(c) + 1
+      done;
+      let lb = lits.(p).(b) in
+      for x = 0 to Array.length lb - 1 do
+        let c = lb.(x) in
+        missing.(c) <- missing.(c) - 1;
+        if missing.(c) = 0 then hold c 1
+      done;
+      let sk = step_kid.(p) and ss = step_stride.(p) in
+      for x = 0 to Array.length sk - 1 do
+        offs.(sk.(x)) <- offs.(sk.(x)) + ((b - a) * ss.(x))
+      done;
+      digits.(p) <- b
+    in
+    (* One odometer step from level [l] up: wrapped levels go back to
+       digit 0 (weight 1), so the new weight is the incremented level's
+       times what sits above it, and it is also what sits above every
+       faster level. *)
+    let rec advance l =
+      if l < k then begin
+        let p = levels.(l) in
+        let a = digits.(p) in
+        if a + 1 < sizes.(p) then begin
+          move p a (a + 1);
+          let w =
+            if a + 1 = other_digit.(l) then
+              Factor_store.checked_mul other_w.(l) above.(l)
+            else above.(l)
+          in
+          for s = 0 to l - 1 do
+            above.(s) <- w
+          done;
+          weight := w
+        end
+        else begin
+          move p a 0;
+          advance (l + 1)
+        end
+      end
+    in
+    (* The current cell, exactly. *)
+    let nat_cell () =
+      let v = ref Nat.one in
+      for t = 0 to nk - 1 do
+        v := Nat.mul !v (Factor_store.get kids.(t) offs.(t))
+      done;
+      for l = 0 to n_inner - 1 do
+        if digits.(levels.(l)) = other_digit.(l) then
+          v := Nat.mul !v (Nat.of_int other_w.(l))
+      done;
+      !v
     in
     let spill_this =
       match mode with
@@ -592,44 +671,49 @@ let eliminate_treedec cfg ctx mode td clauses =
           (Factor_store.make_meta ~scope:sep ~sizes:sep_sizes)
       in
       open_writer := Some w;
-      let digits = Array.make k 0 in
+      let nat_here = ref 0 in
       for _out = 0 to sep_cells - 1 do
-        Array.iter (fun p -> digits.(p) <- 0) inner;
-        let acc = ref Nat.zero in
+        let acc = ref 0 and carry = ref Nat.zero in
         for _in = 0 to inner_cells - 1 do
-          if not (any_clause digits cls) then begin
-            let v = ref Nat.one in
-            let t = ref 0 in
-            let nk = Array.length kid_access in
-            while (not (Nat.is_zero !v)) && !t < nk do
-              let f, poss, strides = kid_access.(!t) in
-              v := Nat.mul !v (Factor_store.get f (kid_index digits poss strides));
+          if !blocked = 0 && ready.(digits.(p0)) = 0 then begin
+            let v = ref !weight and t = ref 0 in
+            while !v <> 0 && !t < nk do
+              v :=
+                Factor_store.checked_mul !v
+                  (Factor_store.get_int kids.(!t) offs.(!t));
               incr t
             done;
-            if not (Nat.is_zero !v) then begin
-              for t = 0 to Array.length inner - 1 do
-                match other_w.(t) with
-                | Some ow when digits.(inner.(t)) = sizes.(inner.(t)) - 1 ->
-                  v := Nat.mul !v ow
-                | _ -> ()
-              done;
-              acc := Nat.add !acc !v
+            if !v = Factor_store.big then begin
+              incr nat_here;
+              carry := Nat.add !carry (nat_cell ())
+            end
+            else if !v > 0 then begin
+              let s = Factor_store.checked_add !acc !v in
+              if s <> Factor_store.big then acc := s
+              else begin
+                carry := Nat.add !carry (Nat.of_int !acc);
+                acc := !v
+              end
             end
           end;
-          advance digits sizes inner
+          advance 0
         done;
-        Factor_store.append w !acc;
-        advance digits sizes sep_pos
+        if Nat.is_zero !carry then Factor_store.append_int w !acc
+        else begin
+          incr nat_here;
+          Factor_store.append w (Nat.add !carry (Nat.of_int !acc))
+        end
       done;
       let f = Factor_store.finish w in
       open_writer := None;
       live := f :: !live;
       msgs.(i) <- Some f;
       (* A consumed child's table is dead; reclaim its file now. *)
-      List.iter Factor_store.release kids;
+      Array.iter Factor_store.release kids;
       Metrics.incr bags_processed;
-      Metrics.incr factors_merged ~by:(List.length kids + Array.length cls);
-      Metrics.incr slots_eliminated ~by:(k - Array.length sep)
+      Metrics.incr factors_merged ~by:(nk + Array.length cls);
+      Metrics.incr slots_eliminated ~by:(k - Array.length sep);
+      Metrics.incr nat_cells ~by:!nat_here
     in
     Events.with_span "val_kernel.bag"
       ~args:
@@ -799,25 +883,13 @@ and solve_component_uncached cfg ~jobs dom clauses slots =
    strictly smaller subproblem re-minimized and re-split. *)
 and condition_component cfg ~jobs dom ctx clauses slots width =
   Metrics.incr conditioning_splits;
-  let degree j =
-    let nbrs =
-      Array.fold_left
-        (fun acc c ->
-          if Array.exists (fun (s, _) -> s = j) c then
-            Array.fold_left (fun a (s, _) -> Iset.add s a) acc c
-          else acc)
-        Iset.empty clauses
-    in
-    Iset.cardinal (Iset.remove j nbrs)
-  in
-  let j =
+  let adj = build_adjacency slots clauses in
+  let j, _ =
     Array.fold_left
-      (fun acc s ->
-        match acc with
-        | Some (_, d) when d >= degree s -> acc
-        | _ -> Some (s, degree s))
-      None slots
-    |> Option.get |> fst
+      (fun ((_, best) as acc) s ->
+        let d = Iset.cardinal (Hashtbl.find adj s) in
+        if d > best then (s, d) else acc)
+      (-1, -1) slots
   in
   let mvals = Hashtbl.find ctx.vals j in
   let m = Array.length mvals in

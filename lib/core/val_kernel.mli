@@ -19,7 +19,13 @@
       order, and run dynamic programming over the induced
       {!Treedec} tree decomposition — one bag-local join per clique
       node, one upward message per parent separator, marginalizing each
-      null with [Nat] weights at its topmost bag;
+      null with its reduced-value weights at its topmost bag;
+    - sweep each bag incrementally: one odometer over its digits whose
+      digit changes update per-clause violated-literal counts, child
+      message offsets and the summed-out weight product, with cells as
+      machine ints under overflow-checked arithmetic and only the rare
+      cell (or separator sum) past 2{^62} computed in [Nat] — counted
+      by [val_kernel.nat_cells];
     - when a message table would exceed [max_cells], stream it through
       a disk-backed {!Factor_store} instead of giving up (the dpdb
       idiom), as long as the estimated IO fits the spill budget;
@@ -35,7 +41,7 @@
     combined in a fixed order, so counts and metric totals are
     bit-identical at every job count.  Spans and the
     [val_kernel.{events_compiled,width,factors_merged,conditioning_splits,
-    slots_eliminated}] counters record what the kernel did. *)
+    slots_eliminated,nat_cells}] counters record what the kernel did. *)
 
 open Incdb_bignum
 open Incdb_cq

@@ -1,9 +1,10 @@
 (* Tests for the lineage variable-elimination #Val kernel: agreement with
    brute-force enumeration on random and hand-built hard-pattern
    instances (including negations and unions), jobs-invariance of the
-   counts, the width-bound conditioning fallback, and the typed
-   event-limit error.  The brute-force enumerator stays in the suite as
-   the kernel's independent oracle. *)
+   counts, the width-bound conditioning fallback, the typed event-limit
+   error, and exact counts past 2^62 (int cells with a per-cell Nat
+   fallback).  The brute-force enumerator stays in the suite as the
+   kernel's independent oracle. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -36,6 +37,21 @@ let with_counters names f =
 
 let brute ?jobs q db = Incdb_par.Brute_par.count_valuations ?jobs q db
 
+let with_temp_dir f =
+  let dir = Filename.temp_file "incdb_test_spill" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    (fun () -> f dir)
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> Sys.remove (Filename.concat dir e))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+
+let check_empty_dir msg dir =
+  Alcotest.(check (list string)) msg [] (Array.to_list (Sys.readdir dir))
+
 (* ------------------------------------------------------------------ *)
 (* Figure 1                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -62,22 +78,40 @@ let test_figure1 () =
 (* The hard pattern: R(x), S(x,y), T(y) beyond the closed forms         *)
 (* ------------------------------------------------------------------ *)
 
-(* A path instance with [k] nulls on each side of a fixed S edge set:
-   the query has no closed form (shared variables, non-uniform domains),
-   so the dispatcher must route it through the kernel. *)
-let path_instance ~k ~d ~edges =
-  let dom = List.init d (fun i -> Printf.sprintf "v%d" i) in
-  let side prefix rel =
-    List.init k (fun i ->
-        Idb.fact rel [ Term.null (Printf.sprintf "%s%d" prefix i) ])
+(* A path instance with one null per entry of [r_doms] in R and of
+   [t_doms] in T, the null's domain being [v0 .. v(d-1)] for its entry
+   [d], on each side of a fixed S edge set: the query has no closed form
+   (shared variables, non-uniform domains), so the dispatcher must
+   route it through the kernel. *)
+let path_instance_doms ~r_doms ~t_doms ~edges =
+  let side prefix rel doms =
+    List.mapi
+      (fun i _ -> Idb.fact rel [ Term.null (Printf.sprintf "%s%d" prefix i) ])
+      doms
   in
-  let names prefix = List.init k (fun i -> Printf.sprintf "%s%d" prefix i) in
+  (* One value list per distinct size, shared by the nulls of that size. *)
+  let lists = Hashtbl.create 4 in
+  let values d =
+    match Hashtbl.find_opt lists d with
+    | Some l -> l
+    | None ->
+      let l = List.init d (fun v -> Printf.sprintf "v%d" v) in
+      Hashtbl.add lists d l;
+      l
+  in
+  let named prefix doms =
+    List.mapi (fun i d -> (Printf.sprintf "%s%d" prefix i, values d)) doms
+  in
   Idb.make
-    (side "r" "R"
+    (side "r" "R" r_doms
     @ List.map (fun (a, b) -> Idb.fact "S" [ Term.const a; Term.const b ]) edges
-    @ side "t" "T")
-    (Idb.Nonuniform
-       (List.map (fun n -> (n, dom)) (names "r" @ names "t")))
+    @ side "t" "T" t_doms)
+    (Idb.Nonuniform (named "r" r_doms @ named "t" t_doms))
+
+(* [k] nulls a side, all over the same [d] values. *)
+let path_instance ~k ~d ~edges =
+  let doms = List.init k (fun _ -> d) in
+  path_instance_doms ~r_doms:doms ~t_doms:doms ~edges
 
 let path_query = Cq.of_string "R(x), S(x,y), T(y)"
 
@@ -93,7 +127,8 @@ let test_dispatcher_takes_kernel () =
 let test_path_agreement () =
   (* K_{k,k}-style clause structure: every (R-null = v0, T-null = v1)
      pair is an event, so the interaction graph is dense and the kernel
-     must mix elimination with conditioning. *)
+     must mix elimination with conditioning.  Every count here fits in
+     an int, so no cell may take the Nat path. *)
   List.iter
     (fun (k, d, edges) ->
       let db = path_instance ~k ~d ~edges in
@@ -101,10 +136,17 @@ let test_path_agreement () =
       let want = brute q db in
       List.iter
         (fun jobs ->
+          let n, deltas =
+            with_counters [ "val_kernel.nat_cells" ] (fun () ->
+                kernel ~jobs q db)
+          in
           check_nat
             (Printf.sprintf "path k=%d d=%d (jobs=%d)" k d jobs)
-            want
-            (kernel ~jobs q db))
+            want n;
+          Alcotest.(check int)
+            (Printf.sprintf "path k=%d d=%d: no Nat cells" k d)
+            0
+            (List.assoc "val_kernel.nat_cells" deltas))
         job_levels;
       check_nat
         (Printf.sprintf "path k=%d d=%d negated" k d)
@@ -146,6 +188,161 @@ let test_width_bound_fallback () =
      when spilling is off — same counts as unrestricted elimination. *)
   check_nat "max_cells=1, spill off agrees with default" reference
     (kernel ~max_cells:1 ~spill:Val_kernel.Off q db)
+
+(* ------------------------------------------------------------------ *)
+(* Counts past 2^62: int cells, Nat only where a cell overflows        *)
+(* ------------------------------------------------------------------ *)
+
+let test_checked_arith () =
+  let open Factor_store in
+  let p31 = 1 lsl 31 in
+  Alcotest.(check int)
+    "2^31 * (2^31 - 1) stays int" (p31 * (p31 - 1))
+    (checked_mul p31 (p31 - 1));
+  Alcotest.(check int) "max_int * 1 stays int" max_int (checked_mul max_int 1);
+  Alcotest.(check int) "max_int + 0 stays int" max_int (checked_add max_int 0);
+  Alcotest.(check int) "2^31 * 2^31 promotes" big (checked_mul p31 p31);
+  Alcotest.(check int) "max_int + 1 promotes" big (checked_add max_int 1);
+  Alcotest.(check int) "zero absorbs a big operand" 0 (checked_mul big 0);
+  Alcotest.(check int) "big propagates through mul" big (checked_mul 1 big);
+  Alcotest.(check int) "big propagates through add" big (checked_add big 0)
+
+(* Both backends round-trip a table mixing int cells and Nat cells, the
+   disk one across a block boundary with big cells on both sides. *)
+let test_factor_store_cells () =
+  let n = Factor_store.disk_block_cells + 3 in
+  let huge i = Nat.add (Nat.pow Nat.two 70) (Nat.of_int i) in
+  let is_big i = i = 1 || i = n - 2 in
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun spill ->
+          let w =
+            Factor_store.create ~spill ~dir
+              (Factor_store.make_meta ~scope:[| 0 |] ~sizes:[| n |])
+          in
+          for i = 0 to n - 1 do
+            if is_big i then Factor_store.append w (huge i)
+            else if i = 2 then Factor_store.append w (Nat.of_int max_int)
+            else Factor_store.append_int w i
+          done;
+          let f = Factor_store.finish w in
+          let name = if spill then "disk" else "memory" in
+          for i = n - 1 downto 0 do
+            let want =
+              if is_big i then huge i
+              else if i = 2 then Nat.of_int max_int
+              else Nat.of_int i
+            in
+            check_nat (Printf.sprintf "%s cell %d" name i) want
+              (Factor_store.get f i);
+            Alcotest.(check int)
+              (Printf.sprintf "%s int view of cell %d" name i)
+              (if is_big i then Factor_store.big else Nat.to_int want)
+              (Factor_store.get_int f i)
+          done;
+          Factor_store.release f)
+        [ false; true ];
+      check_empty_dir "released factors leave no temp files" dir)
+
+(* #Val of [R(x), S(a,b), T(y)] alone: some R-null takes [a] and some
+   T-null takes [b], each side independently — with [v_i] naming value
+   index [i], (Π d_r − Π(d_r − [a ∈ dom r])) · (Π d_t − Π(d_t − [b ∈ dom
+   t])). *)
+let one_edge_closed_form ~r_doms ~t_doms (a, b) =
+  let side doms x =
+    let prod f = Nat.product (List.map (fun d -> Nat.of_int (f d)) doms) in
+    Nat.sub (prod Fun.id) (prod (fun d -> if x < d then d - 1 else d))
+  in
+  Nat.mul (side r_doms a) (side t_doms b)
+
+let value_edges =
+  List.map (fun (a, b) -> (Printf.sprintf "v%d" a, Printf.sprintf "v%d" b))
+
+(* The overflow contract on one instance: the kernel's count equals
+   pure conditioning ([width_bound 0], all in Nat, never the sweep) at
+   every job level with the cache on and off, some cell took the Nat
+   path, and one-edge instances also match the closed form. *)
+let overflow_agrees (r_doms, t_doms, edges) =
+  let db = path_instance_doms ~r_doms ~t_doms ~edges:(value_edges edges) in
+  let q = Query.Bcq path_query in
+  let want = kernel ~width_bound:0 q db in
+  let n, deltas =
+    with_counters [ "val_kernel.nat_cells" ] (fun () -> kernel q db)
+  in
+  Nat.equal want n
+  && List.assoc "val_kernel.nat_cells" deltas > 0
+  && (match edges with
+     | [ e ] -> Nat.equal want (one_edge_closed_form ~r_doms ~t_doms e)
+     | _ -> true)
+  && List.for_all
+       (fun jobs ->
+         Nat.equal want (kernel ~jobs q db)
+         && Nat.equal want (kernel ~cache_entries:0 ~jobs q db))
+       job_levels
+
+let test_overflow_closed_form () =
+  let six d = List.init 6 (fun _ -> d) and four d = List.init 4 (fun _ -> d) in
+  List.iter
+    (fun ((r_doms, t_doms, _) as inst) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "R doms %s, T doms %s"
+           (String.concat "," (List.map string_of_int r_doms))
+           (String.concat "," (List.map string_of_int t_doms)))
+        true (overflow_agrees inst))
+    [
+      (* The 6+6 nulls of 40 values of testdata/overflow.idb. *)
+      (six 40, six 40, [ (0, 1) ]);
+      (* [v40] is outside r0's 30 values: r0 is unconstrained, and the
+         indicator in the closed form is 0 for it. *)
+      ([ 30; 45; 50; 60; 60; 60 ], six 60, [ (40, 0) ]);
+      (* Mixed sizes whose root sum overflows from in-range cells: the
+         carry into the Nat accumulator. *)
+      ( [ 56; 47; 30; 31; 59; 53 ], [ 47; 56; 36; 43; 41; 38 ], [ (3, 5) ] );
+      (* Every "other" bucket weighs 2^13, so the weights of five
+         summed-out slots alone pass 2^62. *)
+      (four 8193, four 8193, [ (0, 1) ]);
+    ]
+
+(* Sides of 5 or 6 nulls (11 or 12 in all) with per-null domain sizes
+   drawn from 30..60, then raised smallest first until their product
+   reaches 2^64 (60^11 > 2^64, so this ends); 1-3 edges between values
+   below 30, inside every domain, so every null is constrained and the
+   avoidance count — the root cell — is past 2^62. *)
+let overflow_gen =
+  QCheck.Gen.(
+    int_range 5 6 >>= fun kr ->
+    (if kr = 5 then return 6 else int_range 5 6) >>= fun kt ->
+    list_repeat (kr + kt) (int_range 30 60) >>= fun doms ->
+    int_range 1 3 >>= fun ne ->
+    list_repeat ne (pair (int_range 0 29) (int_range 0 29)) >>= fun edges ->
+    let doms = Array.of_list doms in
+    let target = Nat.pow Nat.two 64 in
+    while
+      Nat.compare
+        (Nat.product (Array.to_list (Array.map Nat.of_int doms)))
+        target
+      < 0
+    do
+      let i = ref 0 in
+      Array.iteri (fun j d -> if d < doms.(!i) then i := j) doms;
+      doms.(!i) <- doms.(!i) + 1
+    done;
+    return
+      ( Array.to_list (Array.sub doms 0 kr),
+        Array.to_list (Array.sub doms kr kt),
+        List.sort_uniq compare edges ))
+
+let prop_overflow_agrees =
+  QCheck.Test.make ~count:15
+    ~name:"counts past 2^62 = pure conditioning, jobs {1,2,4}, cache on/off"
+    (QCheck.make
+       ~print:(fun (r, t, e) ->
+         let ints l = String.concat "," (List.map string_of_int l) in
+         Printf.sprintf "R %s / T %s / edges %s" (ints r) (ints t)
+           (String.concat " "
+              (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) e)))
+       overflow_gen)
+    overflow_agrees
 
 (* ------------------------------------------------------------------ *)
 (* Cross-branch subproblem cache and the min-fill order                *)
@@ -238,21 +435,6 @@ let test_event_limit () =
 (* Spill-to-disk factor store                                          *)
 (* ------------------------------------------------------------------ *)
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "incdb_test_spill" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  Fun.protect
-    (fun () -> f dir)
-    ~finally:(fun () ->
-      Array.iter
-        (fun e -> Sys.remove (Filename.concat dir e))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
-
-let check_empty_dir msg dir =
-  Alcotest.(check (list string)) msg [] (Array.to_list (Sys.readdir dir))
-
 let test_spill_agreement () =
   let db = path_instance ~k:4 ~d:3 ~edges:[ ("v0", "v1"); ("v2", "v0") ] in
   let q = Query.Bcq path_query in
@@ -299,7 +481,22 @@ let test_spill_agreement () =
       "val_kernel.spilled_factors";
       "val_kernel.spill_bytes";
       "val_kernel.spill_read_bytes";
-    ]
+    ];
+  (* Counts past 2^62: the spilled blocks then mix int and Nat cells. *)
+  let db = path_instance ~k:6 ~d:40 ~edges:[ ("v0", "v1"); ("v2", "v0") ] in
+  let want = kernel ~spill:Val_kernel.Off q db in
+  let n, deltas =
+    with_counters
+      [ "val_kernel.nat_cells"; "val_kernel.spilled_factors" ]
+      (fun () -> kernel ~spill:Val_kernel.Force q db)
+  in
+  check_nat "overflowing instance, forced spill = spill off" want n;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " recorded on the overflowing instance") true
+        (List.assoc name deltas > 0))
+    [ "val_kernel.nat_cells"; "val_kernel.spilled_factors" ]
 
 let test_spill_cleanup () =
   let db = path_instance ~k:4 ~d:3 ~edges:[ ("v0", "v1") ] in
@@ -319,8 +516,10 @@ let test_spill_cleanup () =
 
 (* Mid-DP abort: a single-slot component whose only slot has reduced
    domain size 1 streams an estimated 16 bytes (one bag cell) but
-   marshals to a ~22-byte block, so there is a budget window where
-   admission passes and the on_write hook then raises
+   marshals to a 24-byte block (the 20-byte Marshal header, then the
+   block record, its one-cell int array, the cell [0] and the empty
+   side table of Nat cells at one byte each), so budgets 16..23 admit
+   the component and the on_write hook then raises
    Spill_budget_exhausted from inside the DP — the injected exception
    of the cleanup contract.  Sweeping the budget covers all three
    regimes (admission refusal, mid-write abort, success) without
@@ -512,6 +711,14 @@ let () =
             test_width_bound_fallback;
           Alcotest.test_case "typed event limit" `Quick test_event_limit;
         ] );
+      ( "overflow",
+        [
+          Alcotest.test_case "checked int helpers" `Quick test_checked_arith;
+          Alcotest.test_case "int and Nat cells in both backends" `Quick
+            test_factor_store_cells;
+          Alcotest.test_case "one edge past 2^62 = closed form" `Quick
+            test_overflow_closed_form;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "cross-branch subproblem cache" `Quick
@@ -536,5 +743,6 @@ let () =
             prop_other_bucket_weight;
             prop_spill_agrees;
             prop_cache_and_order_agree;
+            prop_overflow_agrees;
           ] );
     ]
