@@ -85,31 +85,6 @@ let brute_comp_row ?(n = 3) ?(d = 4) () =
     (Printf.sprintf "brute_comp:diagonal-codd-%d-nulls-dom-%d" (2 * n) d)
     (Nat.to_string !count) times
 
-let karp_luby_row ?(n = 20) ?(d = 10) ?(samples = 50_000) () =
-  let db = Instances.diagonal_codd n d in
-  let q = Query.Bcq (Cq.of_string "R(x,x)") in
-  let est = ref 0. in
-  let times =
-    List.map
-      (fun jobs ->
-        let e, t =
-          Instances.time (fun () ->
-              Karp_luby_par.estimate ~jobs ~seed:3 ~samples q db)
-        in
-        est := e;
-        (jobs, t))
-      job_levels
-  in
-  Printf.printf "  parallel KL    (%dk samples):       %s\n%!"
-    (samples / 1000)
-    (String.concat "  "
-       (List.map (fun (j, t) -> Printf.sprintf "jobs=%d %.3fs" j t) times));
-  row_of_times
-    (Printf.sprintf "karp_luby:diagonal-codd-%d-nulls-%dk-samples" (2 * n)
-       (samples / 1000))
-    (Printf.sprintf "%.6g" !est)
-    times
-
 (* ------------------------------------------------------------------ *)
 
 let run () =
@@ -120,8 +95,7 @@ let run () =
      would reverse the progress lines. *)
   let r1 = brute_val_row () in
   let r2 = brute_comp_row () in
-  let r3 = karp_luby_row () in
-  let rows = [ r1; r2; r3 ] in
+  let rows = [ r1; r2 ] in
   Buffer.clear buf;
   Buffer.add_string buf "{\n  \"schema_version\": 1,\n";
   Buffer.add_string buf
@@ -145,5 +119,4 @@ let smoke () =
   Printf.printf "\n=== Multicore scaling (smoke) ===\n%!";
   let (_ : string) = brute_val_row ~n:2 ~d:3 () in
   let (_ : string) = brute_comp_row ~n:2 ~d:3 () in
-  let (_ : string) = karp_luby_row ~n:5 ~d:4 ~samples:2_000 () in
   ()

@@ -62,10 +62,9 @@ let run socket stdio val_cache_entries result_cap classify_cache verbose =
   Incdb_obs.Runtime.set_enabled true;
   Incdb_core.Classify.set_cache_capacity classify_cache;
   let state = State.create ~result_cap ~val_cache_entries () in
-  let opts = Server.make_opts ~state () in
   match (socket, stdio) with
-  | None, true -> Ok (Server.run_stdio opts)
-  | Some path, false -> Ok (Server.run_socket opts ~socket_path:path)
+  | None, true -> Ok (Server.run_stdio state)
+  | Some path, false -> Ok (Server.run_socket state ~socket_path:path)
   | None, false | Some _, true ->
     Error "incdbd: give exactly one of --socket PATH or --stdio"
 

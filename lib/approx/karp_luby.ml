@@ -178,8 +178,6 @@ let compile q db =
   { cevents; cweights; ctotal; cdomains; cfixes }
 
 let compiled_size c = Array.length c.cevents
-let compiled_total_weight c = c.ctotal
-let compiled_events c = c.cevents
 
 (* One estimator step.  The RNG is consumed exactly as the uncompiled
    loop did — [Sampling.weighted_index] on the same weight array, then one

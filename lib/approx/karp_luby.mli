@@ -49,21 +49,6 @@ type compiled
     @raise Invalid_argument on a non-monotone query. *)
 val compile : Query.t -> Idb.t -> compiled
 
-(** Number of events ([0] means the query is unsatisfiable: no sampling). *)
-val compiled_size : compiled -> int
-
-(** Sum of event cardinalities (the estimator's scaling weight). *)
-val compiled_total_weight : compiled -> float
-
-(** The underlying events, in canonical order (do not mutate). *)
-val compiled_events : compiled -> event array
-
-(** [sample_hit c st] draws one weighted event, extends its partial
-    valuation uniformly at random, and reports whether the drawn event is
-    the canonical (first) cover of the sampled valuation.  Thread-safe
-    across domains: [c] is read-only, scratch is per-call. *)
-val sample_hit : compiled -> Random.State.t -> bool
-
 (** [estimate ~seed ~samples q db] runs the coverage estimator and returns
     the estimated [#Val(q)(db)].  The standard analysis gives relative
     error [epsilon] with confidence [3/4] once

@@ -10,13 +10,6 @@ module Cdb_set = Set.Make (struct
   let compare = Incdb_relational.Cdb.compare
 end)
 
-let random_valuation st db =
-  List.map
-    (fun n ->
-      let dom = Array.of_list (Idb.domain_of db n) in
-      (n, dom.(Random.State.int st (Array.length dom))))
-    (Idb.nulls db)
-
 (* Deterministic sweep valuations: assign every null its i-th domain
    value (wrapping); cheap extra coverage for the witness set. *)
 let sweep_valuation db i =
@@ -42,39 +35,18 @@ let lower_bound ~seed ~samples q db =
     consider (sweep_valuation db i)
   done;
   for _ = 1 to samples do
-    consider (random_valuation st db)
+    consider (Incdb_approx.Sampling.random_valuation st db)
   done;
   Nat.of_int (Cdb_set.cardinal !witnessed)
 
 let upper_bound q db =
-  (* #Comp <= #Val; bound #Val by the exact tractable count when the
-     dispatcher has a polynomial algorithm, by the union-of-events size
-     otherwise (sum of event sizes over-counts overlaps, soundly). *)
-  let query = Query.Bcq q in
-  let tractable_val =
-    let all_single =
-      List.for_all (fun v -> Cq.occurrences q v = 1) (Cq.variables q)
-    in
-    if all_single then Some (Count_val.nonuniform_naive q db)
-    else if
-      Idb.is_codd db
-      && List.for_all
-           (fun (a : Cq.atom) ->
-             List.for_all
-               (fun (b : Cq.atom) -> a == b || Conngraph.shared_vars a b = [])
-               q)
-           q
-    then Some (Count_val.codd_nonuniform q db)
-    else if
-      Idb.is_uniform db
-      && not (Pattern.has_rxx q || Pattern.has_rx_sxy_ty q || Pattern.has_rxy_sxy q)
-    then Some (Count_val.uniform_naive q db)
-    else None
-  in
-  match tractable_val with
-  | Some v -> v
+  (* #Comp <= #Val; bound #Val by the exact count when Count_val has a
+     closed form, by the union-of-events size otherwise (sum of event
+     sizes over-counts overlaps, soundly). *)
+  match Count_val.closed_form q db with
+  | Some (_, run) -> run ()
   | None ->
-    let events = Incdb_approx.Karp_luby.events query db in
+    let events = Incdb_approx.Karp_luby.events (Query.Bcq q) db in
     let union_bound =
       Nat.sum (List.map (fun e -> e.Incdb_approx.Karp_luby.size) events)
     in
@@ -84,7 +56,3 @@ let bounds ~seed ~samples q db =
   let lower = lower_bound ~seed ~samples q db in
   let upper = Nat.max lower (upper_bound q db) in
   { lower; upper }
-
-let exact_within ~seed ~samples q db =
-  let b = bounds ~seed ~samples q db in
-  if Nat.equal b.lower b.upper then Some b.lower else None

@@ -24,7 +24,3 @@ type bounds = { lower : Nat.t; upper : Nat.t }
     [#Val] computed by the dispatcher when tractable and by the Karp–Luby
     event union size otherwise. *)
 val bounds : seed:int -> samples:int -> Cq.t -> Idb.t -> bounds
-
-(** [exact_within ~seed ~samples q db] is [Some n] when the two bounds
-    meet (the sampling saw every completion), [None] otherwise. *)
-val exact_within : seed:int -> samples:int -> Cq.t -> Idb.t -> Nat.t option

@@ -22,11 +22,11 @@
    least one branch is alive, so each completion counts once: the joint
    state is a function of the selected subset alone.
 
-   Determinism: the sweep is sequential (jobs accepted, unused), the
-   frontier is an explicit array in first-reach order, families are
-   interned behind canonical sorting, and Nat addition is exact — the
-   count and every elim counter are invariant across jobs, mask
-   representation and cache on/off. *)
+   Determinism: the sweep is sequential, the frontier is an explicit
+   array in first-reach order, families are interned behind canonical
+   sorting, and Nat addition is exact — the count and every elim counter
+   are invariant across the dispatcher's jobs, mask representation and
+   cache on/off. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -534,7 +534,7 @@ let memos_length ms =
    states that differ only in doomed clause bookkeeping merge. *)
 
 let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
-    ?(cache = true) ?memos ?spill_dir ?jobs:_ p =
+    ?(cache = true) ?memos ?spill_dir p =
   Events.with_span "comp_kernel.run" (fun () ->
       Metrics.incr elim_dispatch;
       Metrics.set elim_width_gauge (float_of_int p.width);
@@ -864,7 +864,7 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
           !total))
 
 let count ?query ?width_bound ?max_branches ?max_universe ?max_states
-    ?max_cells ?cache ?memos ?spill_dir ?jobs db =
+    ?max_cells ?cache ?memos ?spill_dir db =
   match plan ?query ?width_bound ?max_branches ?max_universe db with
   | Error i -> raise (Infeasible i)
-  | Ok p -> run ?max_states ?max_cells ?cache ?memos ?spill_dir ?jobs p
+  | Ok p -> run ?max_states ?max_cells ?cache ?memos ?spill_dir p

@@ -34,8 +34,8 @@
     is counted exactly once.
 
     The DP is sequential and fully deterministic: counts and the
-    [comp_kernel.elim_*] counters are invariant across [jobs], mask
-    representation and cache configuration. *)
+    [comp_kernel.elim_*] counters are invariant across the dispatcher's
+    [jobs], mask representation and cache configuration. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -138,9 +138,7 @@ val memos_length : memos -> int
     branches and states; [memos] (when given) backs those tables with a
     caller-owned bundle that survives the run (see {!type-memos} — the
     incdbd warm-reuse hook); [max_cells] bounds the in-memory message at
-    bag boundaries before counts spill to disk under [spill_dir]; [jobs]
-    is accepted for signature uniformity but the DP is sequential —
-    results and counters never depend on it.
+    bag boundaries before counts spill to disk under [spill_dir].
     @raise Infeasible ([Too_many_states]) if the frontier outgrows
     [max_states]. *)
 val run :
@@ -149,7 +147,6 @@ val run :
   ?cache:bool ->
   ?memos:memos ->
   ?spill_dir:string ->
-  ?jobs:int ->
   plan ->
   Nat.t
 
@@ -165,6 +162,5 @@ val count :
   ?cache:bool ->
   ?memos:memos ->
   ?spill_dir:string ->
-  ?jobs:int ->
   Idb.t ->
   Nat.t

@@ -464,7 +464,7 @@ let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
         Events.with_span "count_comp.lineage_elimination" (fun () ->
             Comp_kernel.run ?max_states:comp_max_states
               ?max_cells:comp_max_cells ~cache:comp_cache ?memos:comp_memos
-              ?spill_dir:comp_spill_dir ~jobs plan)
+              ?spill_dir:comp_spill_dir plan)
       with
       | n -> (Lineage_elimination, n)
       | exception Comp_kernel.Infeasible _ when comp_elim <> Comp_kernel.Force

@@ -125,13 +125,14 @@ let codd_nonuniform q db =
 (* Theorem 3.9: uniform naive tables, basic-singleton shape.           *)
 (* ------------------------------------------------------------------ *)
 
+(* One block DP serves three engines: [uniform_naive] counts in [Nat],
+   [uniform_weighted] weighs in [Qnum], and [uniform_symbolic] raises the
+   plain-value transition to the d-th power.  They share the basic
+   singletons, the per-subset term, the allocation enumerator and the
+   Lemma A.13 signed sum. *)
+
 let uniform_shape_ok q =
   not (Pattern.has_rxx q || Pattern.has_rx_sxy_ty q || Pattern.has_rxy_sxy q)
-
-(* A projected unary atom: the set of terms in the shared-variable column
-   of one relation.  [group] identifies the basic singleton (connected
-   component) the atom belongs to. *)
-type proj_atom = { group : int; terms : Term.t list }
 
 let uniform_domain db =
   match Idb.domain_spec db with
@@ -139,228 +140,196 @@ let uniform_domain db =
   | Idb.Nonuniform _ ->
     invalid_arg "Count_val.uniform_naive: database is not uniform"
 
-(* Project the query onto its basic singletons (Lemmas A.11 and A.12).
-   Returns the projected atoms and the set of nulls they constrain; all
-   other nulls of the table are free.  Raises if the query shape is not
-   the tractable one. *)
-let project_basic_singletons q db =
-  let comps = Conngraph.components q in
-  let atoms = ref [] in
-  let gid = ref 0 in
-  List.iter
-    (fun (c : Conngraph.component) ->
-      match (c.Conngraph.atoms, c.Conngraph.shared_var) with
-      | [ _a ], _ ->
-        (* Single-occurrence variables only: the atom is satisfied by any
-           valuation iff its relation is non-empty; represent it as a
-           one-atom group whose terms are a fresh marker when non-empty.
-           We model it exactly: group with one projected atom whose term
-           set is the full column... any column works since any fact
-           matches; use emptiness only. *)
-        ()
-      | many, Some v ->
-        incr gid;
-        List.iter
-          (fun (a : Cq.atom) ->
-            (* position of the shared variable in this atom (no repeats) *)
-            let pos = ref (-1) in
-            Array.iteri (fun i u -> if u = v then pos := i) a.Cq.vars;
-            assert (!pos >= 0);
-            let col =
-              List.filter_map
-                (fun (f : Idb.fact) ->
-                  if Array.length f.Idb.args > !pos then Some f.Idb.args.(!pos)
-                  else None)
-                (Idb.facts_of db a.Cq.rel)
-            in
-            let col = List.sort_uniq Term.compare col in
-            atoms := { group = !gid; terms = col } :: !atoms)
-          many
-      | _, None ->
-        invalid_arg "Count_val.uniform_naive: query has a hard pattern")
-    comps;
-  (List.rev !atoms, comps)
-
-(* Shared preprocessing of the three Theorem 3.9 engines: the projected
-   atoms of the basic singletons, the per-group forbidden masks for the
-   Lemma A.13 inclusion–exclusion, and the occurrence / base-coverage
-   masks of the nulls and constants over the projected atoms. *)
-type singleton_setup = {
-  forbidden_all : int list;  (* per basic singleton, the mask of its atoms *)
-  occ_of_null : (string, int) Hashtbl.t;
-  cov_of_const : (string, int) Hashtbl.t;
-  all_nulls : string list;
+(* The basic singletons (Lemmas A.11 and A.12): every component of two or
+   more atoms shares one variable, and each of its atoms is projected
+   onto that variable's column, one bit per projected atom.  A one-atom
+   component has single-occurrence variables only, so it just needs a
+   non-empty relation (footnote 2); [None] when one is empty. *)
+type singletons = {
+  groups : int list;  (* per basic singleton, the mask of its atoms *)
+  cover : (Term.t, int) Hashtbl.t;  (* term -> projected atoms holding it *)
+  nulls : string list;
 }
 
-(* Empty-relation test for singleton components (footnote 2). *)
-let singleton_relations_nonempty q db =
-  List.for_all
-    (fun (c : Conngraph.component) ->
-      match c.Conngraph.atoms with
-      | [ a ] -> Idb.facts_of db a.Cq.rel <> []
-      | _ -> true)
-    (Conngraph.components q)
-
-let singleton_setup q db =
-  let proj, _ = project_basic_singletons q db in
-  let proj = Array.of_list proj in
-  let kk = Array.length proj in
-  let atom_ids = List.init kk Fun.id in
-  let groups =
-    List.sort_uniq Stdlib.compare
-      (Array.to_list (Array.map (fun p -> p.group) proj))
+let basic_singletons q db =
+  let comps = Conngraph.components q in
+  let empty (c : Conngraph.component) =
+    match c.Conngraph.atoms with
+    | [ a ] -> Idb.facts_of db a.Cq.rel = []
+    | _ -> false
   in
-  let group_mask g =
-    List.fold_left
-      (fun m i -> if proj.(i).group = g then m lor (1 lsl i) else m)
-      0 atom_ids
-  in
-  let occ_of_null = Hashtbl.create 16 in
-  let cov_of_const = Hashtbl.create 16 in
-  Array.iteri
-    (fun i p ->
+  if List.exists empty comps then None
+  else begin
+    let cover = Hashtbl.create 16 and next = ref 0 in
+    let project v (a : Cq.atom) =
+      let bit = 1 lsl !next in
+      incr next;
+      let pos = ref (-1) in
+      Array.iteri (fun i u -> if u = v then pos := i) a.Cq.vars;
       List.iter
-        (function
-          | Term.Null n ->
-            let cur = Option.value ~default:0 (Hashtbl.find_opt occ_of_null n) in
-            Hashtbl.replace occ_of_null n (cur lor (1 lsl i))
-          | Term.Const c ->
-            let cur = Option.value ~default:0 (Hashtbl.find_opt cov_of_const c) in
-            Hashtbl.replace cov_of_const c (cur lor (1 lsl i)))
-        p.terms)
-    proj;
-  {
-    forbidden_all = List.map group_mask groups;
-    occ_of_null;
-    cov_of_const;
-    all_nulls = Idb.nulls db;
-  }
+        (fun (f : Idb.fact) ->
+          if Array.length f.Idb.args > !pos then begin
+            let t = f.Idb.args.(!pos) in
+            let cur = Option.value ~default:0 (Hashtbl.find_opt cover t) in
+            Hashtbl.replace cover t (cur lor bit)
+          end)
+        (Idb.facts_of db a.Cq.rel);
+      bit
+    in
+    let groups =
+      List.filter_map
+        (fun (c : Conngraph.component) ->
+          match (c.Conngraph.atoms, c.Conngraph.shared_var) with
+          | [ _ ], _ -> None
+          | atoms, Some v ->
+            Some (List.fold_left (fun m a -> m lor project v a) 0 atoms)
+          | _, None ->
+            invalid_arg "Count_val.uniform_naive: query has a hard pattern")
+        comps
+    in
+    Some { groups; cover; nulls = Idb.nulls db }
+  end
 
-let setup_occ s n = Option.value ~default:0 (Hashtbl.find_opt s.occ_of_null n)
-let setup_cov s c = Option.value ~default:0 (Hashtbl.find_opt s.cov_of_const c)
+let covered s t = Option.value ~default:0 (Hashtbl.find_opt s.cover t)
 
-(* Coverage masks of the constants outside [dom_set]: fixed under every
-   valuation.  With [dom_set] empty every table constant is external
-   (the symbolic-domain case). *)
-let setup_external_covers s dom_set =
-  Hashtbl.fold
-    (fun c mask acc -> if Sset.mem c dom_set then acc else mask :: acc)
-    s.cov_of_const []
+(* A coverage (the projected atoms one value meets) satisfies a basic
+   singleton of S when it contains all of that singleton's atoms. *)
+let unsafe forbidden cov = List.exists (fun f -> cov land f = f) forbidden
+
+(* The term of one subset S of basic singletons ([forbidden]: their atom
+   masks): N_S counts the valuations under which no value's coverage is
+   unsafe.  The nulls in atoms of S fall into occurrence classes by the
+   atoms they occur in; the rest are free.  [None] when one of the
+   [fixed] coverages (constants outside the domain) already satisfies a
+   singleton of S, so N_S = 0. *)
+type term = {
+  forbidden : int list;
+  masks : int array;  (* occurrence classes, ascending *)
+  sizes : int array;  (* nulls per class: the DP's starting state *)
+  free : int;
+}
+
+let term s ~fixed forbidden =
+  if List.exists (unsafe forbidden) fixed then None
+  else begin
+    let atoms = List.fold_left ( lor ) 0 forbidden in
+    let counts = Hashtbl.create 8 and free = ref 0 in
+    List.iter
+      (fun n ->
+        match covered s (Term.Null n) land atoms with
+        | 0 -> incr free
+        | m ->
+          let cur = Option.value ~default:0 (Hashtbl.find_opt counts m) in
+          Hashtbl.replace counts m (cur + 1))
+      s.nulls;
+    let masks, sizes =
+      List.split
+        (List.sort Stdlib.compare
+           (Hashtbl.fold (fun m c acc -> (m, c) :: acc) counts []))
+    in
+    Some
+      { forbidden; masks = Array.of_list masks; sizes = Array.of_list sizes;
+        free = !free }
+  end
+
+(* Every safe way for one value of base coverage [base] to take
+   k_i <= rem.(i) of the nulls left in each class i: [yield left ways k]
+   gets the nulls left after the placement (a reused buffer: copy it to
+   keep it), ways = prod_i C(rem_i, k_i) and k = sum_i k_i.  A coverage
+   only grows as classes join it, so an unsafe prefix prunes its whole
+   subtree. *)
+let allocations t ~base rem yield =
+  let n = Array.length rem in
+  let left = Array.copy rem in
+  let rec go i cov ways k =
+    if i = n then yield left ways k
+    else
+      for j = 0 to rem.(i) do
+        let cov = if j > 0 then cov lor t.masks.(i) else cov in
+        if not (unsafe t.forbidden cov) then begin
+          left.(i) <- rem.(i) - j;
+          go (i + 1) cov (Nat.mul ways (Combinat.binomial rem.(i) j)) (k + j)
+        end
+      done
+  in
+  if not (unsafe t.forbidden base) then go 0 base Nat.one 0
+
+(* Prop. A.14's nested block sums as a DP over the domain values, one at
+   a time, in the number type given by [zero]/[one]/[add]: the state is
+   the vector of nulls not yet placed, and each of [steps] — a value's
+   base coverage and how it scales the mass [x] carried through one
+   placement [ways], [k] — moves every state to the states its safe
+   allocations leave.  Returns the mass of the all-placed state. *)
+let block_dp ~zero ~one ~add t steps =
+  let start = Hashtbl.create 1 in
+  Hashtbl.replace start t.sizes (ref one);
+  let last =
+    List.fold_left
+      (fun tbl (base, scale) ->
+        let next = Hashtbl.create 64 in
+        Hashtbl.iter
+          (fun rem x ->
+            allocations t ~base rem (fun left ways k ->
+                let y = scale !x ways k in
+                match Hashtbl.find_opt next left with
+                | Some acc -> acc := add !acc y
+                | None -> Hashtbl.add next (Array.copy left) (ref y)))
+          tbl;
+        next)
+      start steps
+  in
+  match Hashtbl.find_opt last (Array.map (fun _ -> 0) t.sizes) with
+  | Some x -> !x
+  | None -> zero
+
+(* Lemma A.13: the count is sum_S (-1)^|S| N_S over the subsets S of
+   basic singletons, where [n_s ~cover t] computes N_S from S's term and
+   [cover c] is the coverage of constant [c].  Constants outside
+   [in_domain] keep their coverage under every valuation. *)
+let signed_sum ~zero ~add ~neg q db ~in_domain n_s =
+  match basic_singletons q db with
+  | None -> zero
+  | Some s ->
+    let fixed =
+      Hashtbl.fold
+        (fun t m acc ->
+          match t with
+          | Term.Const c when not (Sset.mem c in_domain) -> m :: acc
+          | Term.Const _ | Term.Null _ -> acc)
+        s.cover []
+    in
+    let cover c = covered s (Term.Const c) in
+    List.fold_left
+      (fun acc forbidden ->
+        match term s ~fixed forbidden with
+        | None -> acc
+        | Some t ->
+          let n = n_s ~cover t in
+          add acc (if List.length forbidden land 1 = 0 then n else neg n))
+      zero
+      (Combinat.subsets s.groups)
+
+(* [signed_sum] over natural N_S; partial sums may be negative. *)
+let nat_signed_sum q db ~in_domain n_s =
+  Zint.to_nat
+    (signed_sum ~zero:Zint.zero ~add:Zint.add ~neg:Zint.neg q db ~in_domain
+       (fun ~cover t -> Zint.of_nat (n_s ~cover t)))
 
 let uniform_naive q db =
   if not (uniform_shape_ok q) then
     invalid_arg "Count_val.uniform_naive: query contains a hard pattern";
   let dom = uniform_domain db in
   let d = List.length dom in
-  if not (singleton_relations_nonempty q db) then Nat.zero
-  else begin
-    let setup = singleton_setup q db in
-    let forbidden_all = setup.forbidden_all in
-    let all_nulls = setup.all_nulls in
-    let constrained_occ = setup_occ setup in
-    (* Out-of-domain constants have a fixed coverage. *)
-    let external_covers = setup_external_covers setup (Sset.of_list dom) in
-    (* N_S for a subset of groups, identified by the union mask of their
-       atoms and the list of their individual forbidden masks. *)
-    let n_s sub_forbidden =
-      let atoms_mask = List.fold_left ( lor ) 0 sub_forbidden in
-      (* A constant outside dom whose fixed coverage includes all atoms of
-         some forbidden group satisfies that group under every valuation. *)
-      let ext_unsafe =
-        List.exists
-          (fun m -> List.exists (fun f -> m land f = f) sub_forbidden)
-          external_covers
-      in
-      if ext_unsafe then Nat.zero
-      else begin
-        (* Group constrained nulls by occurrence class within S. *)
-        let class_counts = Hashtbl.create 8 in
-        let free = ref 0 in
-        List.iter
-          (fun n ->
-            let m = constrained_occ n land atoms_mask in
-            if m = 0 then incr free
-            else begin
-              let cur = Option.value ~default:0 (Hashtbl.find_opt class_counts m) in
-              Hashtbl.replace class_counts m (cur + 1)
-            end)
-          all_nulls;
-        let classes =
-          Hashtbl.fold (fun m c acc -> (m, c) :: acc) class_counts []
-          |> List.sort Stdlib.compare
-        in
-        let nclasses = List.length classes in
-        let class_masks = Array.of_list (List.map fst classes) in
-        let class_sizes = Array.of_list (List.map snd classes) in
-        let unsafe u = List.exists (fun f -> u land f = f) sub_forbidden in
-        (* DP over domain values; state = remaining nulls per class. *)
-        let tbl : (int list, Nat.t) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.replace tbl (Array.to_list class_sizes) Nat.one;
-        let value_basecov a = setup_cov setup a land atoms_mask in
-        let dead = ref false in
-        List.iter
-          (fun a ->
-            if not !dead then begin
-              let base = value_basecov a in
-              if unsafe base then dead := true
-              else begin
-                let next : (int list, Nat.t) Hashtbl.t = Hashtbl.create 64 in
-                let add st v =
-                  let cur = Option.value ~default:Nat.zero (Hashtbl.find_opt next st) in
-                  Hashtbl.replace next st (Nat.add cur v)
-                in
-                Hashtbl.iter
-                  (fun state weight ->
-                    let rem = Array.of_list state in
-                    (* Enumerate allocations (k_0..k_{nclasses-1}). *)
-                    let rec alloc i union ways acc_rem =
-                      if i = nclasses then begin
-                        if not (unsafe union) then
-                          add (List.rev acc_rem) (Nat.mul weight ways)
-                      end else
-                        for k = 0 to rem.(i) do
-                          let union' = if k > 0 then union lor class_masks.(i) else union in
-                          (* Prune: an unsafe union can only grow. *)
-                          if not (unsafe union') then
-                            alloc (i + 1) union'
-                              (Nat.mul ways (Combinat.binomial rem.(i) k))
-                              ((rem.(i) - k) :: acc_rem)
-                        done
-                    in
-                    alloc 0 base Nat.one [])
-                  tbl;
-                Hashtbl.reset tbl;
-                Hashtbl.iter (Hashtbl.replace tbl) next
-              end
-            end)
-          dom;
-        if !dead then Nat.zero
-        else begin
-          let zero_state = List.map (fun _ -> 0) (Array.to_list class_sizes) in
-          let core =
-            Option.value ~default:Nat.zero (Hashtbl.find_opt tbl zero_state)
-          in
-          Nat.mul core (Combinat.power d !free)
-        end
-      end
-    in
-    (* Inclusion-exclusion over subsets of basic singletons (Lemma A.13). *)
-    let result = ref Zint.zero in
-    List.iter
-      (fun subset ->
-        let term = Zint.of_nat (n_s subset) in
-        let signed =
-          if List.length subset land 1 = 0 then term else Zint.neg term
-        in
-        result := Zint.add !result signed)
-      (Combinat.subsets forbidden_all);
-    Zint.to_nat !result
-  end
+  nat_signed_sum q db ~in_domain:(Sset.of_list dom) (fun ~cover t ->
+      let step a = (cover a, fun x ways _ -> Nat.mul x ways) in
+      Nat.mul
+        (block_dp ~zero:Nat.zero ~one:Nat.one ~add:Nat.add t
+           (List.map step dom))
+        (Combinat.power d t.free))
 
-(* ------------------------------------------------------------------ *)
-(* Theorem 3.9, weighted: the probability version of the block DP.     *)
-(* ------------------------------------------------------------------ *)
-
+(* The probability version: N_S becomes the probability that no value is
+   unsafe, a placement of k nulls at value a weighs its ways times
+   w(a)^k, and the free nulls integrate to total mass 1. *)
 let uniform_weighted q db ~weight =
   if not (uniform_shape_ok q) then
     invalid_arg "Count_val.uniform_weighted: query contains a hard pattern";
@@ -370,110 +339,19 @@ let uniform_weighted q db ~weight =
   in
   if not (Qnum.equal total_mass Qnum.one) then
     invalid_arg "Count_val.uniform_weighted: weights must sum to 1";
-  if not (singleton_relations_nonempty q db) then Qnum.zero
-  else begin
-    let setup = singleton_setup q db in
-    let forbidden_all = setup.forbidden_all in
-    let all_nulls = setup.all_nulls in
-    let constrained_occ = setup_occ setup in
-    let external_covers = setup_external_covers setup (Sset.of_list dom) in
-    (* P_S: probability that no basic singleton of S is satisfied; the
-       counting DP with binomial allocation weights scaled by w(a)^k. *)
-    let p_s sub_forbidden =
-      let atoms_mask = List.fold_left ( lor ) 0 sub_forbidden in
-      let ext_unsafe =
-        List.exists
-          (fun m -> List.exists (fun f -> m land f = f) sub_forbidden)
-          (List.map (fun m -> m land atoms_mask) external_covers)
+  signed_sum ~zero:Qnum.zero ~add:Qnum.add ~neg:Qnum.neg q db
+    ~in_domain:(Sset.of_list dom) (fun ~cover t ->
+      let nulls = Array.fold_left ( + ) 0 t.sizes in
+      let step a =
+        let w = weight a and pow = Array.make (nulls + 1) Qnum.one in
+        for k = 1 to nulls do
+          pow.(k) <- Qnum.mul pow.(k - 1) w
+        done;
+        ( cover a,
+          fun x ways k -> Qnum.mul x (Qnum.mul (Qnum.of_nat ways) pow.(k)) )
       in
-      if ext_unsafe then Qnum.zero
-      else begin
-        let class_counts = Hashtbl.create 8 in
-        List.iter
-          (fun n ->
-            let m = constrained_occ n land atoms_mask in
-            if m <> 0 then begin
-              let cur = Option.value ~default:0 (Hashtbl.find_opt class_counts m) in
-              Hashtbl.replace class_counts m (cur + 1)
-            end)
-          all_nulls;
-        let classes =
-          Hashtbl.fold (fun m c acc -> (m, c) :: acc) class_counts []
-          |> List.sort Stdlib.compare
-        in
-        let nclasses = List.length classes in
-        let class_masks = Array.of_list (List.map fst classes) in
-        let class_sizes = Array.of_list (List.map snd classes) in
-        let unsafe u = List.exists (fun f -> u land f = f) sub_forbidden in
-        let tbl : (int list, Qnum.t) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.replace tbl (Array.to_list class_sizes) Qnum.one;
-        let value_basecov a = setup_cov setup a land atoms_mask in
-        let dead = ref false in
-        List.iter
-          (fun a ->
-            if not !dead then begin
-              let base = value_basecov a in
-              if unsafe base then dead := true
-              else begin
-                let wa = weight a in
-                let next : (int list, Qnum.t) Hashtbl.t = Hashtbl.create 64 in
-                let add st v =
-                  let cur =
-                    Option.value ~default:Qnum.zero (Hashtbl.find_opt next st)
-                  in
-                  Hashtbl.replace next st (Qnum.add cur v)
-                in
-                Hashtbl.iter
-                  (fun state mass ->
-                    let rem = Array.of_list state in
-                    let rec alloc i union ways acc_rem =
-                      if i = nclasses then begin
-                        if not (unsafe union) then add (List.rev acc_rem) (Qnum.mul mass ways)
-                      end else
-                        for k = 0 to rem.(i) do
-                          let union' =
-                            if k > 0 then union lor class_masks.(i) else union
-                          in
-                          if not (unsafe union') then begin
-                            let choose =
-                              Qnum.of_nat (Combinat.binomial rem.(i) k)
-                            in
-                            let rec wpow acc j =
-                              if j = 0 then acc else wpow (Qnum.mul acc wa) (j - 1)
-                            in
-                            alloc (i + 1) union'
-                              (Qnum.mul ways (Qnum.mul choose (wpow Qnum.one k)))
-                              ((rem.(i) - k) :: acc_rem)
-                          end
-                        done
-                    in
-                    alloc 0 base Qnum.one [])
-                  tbl;
-                Hashtbl.reset tbl;
-                Hashtbl.iter (Hashtbl.replace tbl) next
-              end
-            end)
-          dom;
-        if !dead then Qnum.zero
-        else begin
-          let zero_state = List.init nclasses (fun _ -> 0) in
-          (* Free nulls (not constrained by S) integrate to total mass 1. *)
-          Option.value ~default:Qnum.zero (Hashtbl.find_opt tbl zero_state)
-        end
-      end
-    in
-    List.fold_left
-      (fun acc subset ->
-        let term = p_s subset in
-        if List.length subset land 1 = 0 then Qnum.add acc term
-        else Qnum.sub acc term)
-      Qnum.zero
-      (Combinat.subsets forbidden_all)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Theorem 3.9 over a symbolic domain: matrix exponentiation.          *)
-(* ------------------------------------------------------------------ *)
+      block_dp ~zero:Qnum.zero ~one:Qnum.one ~add:Qnum.add t
+        (List.map step dom))
 
 (* Dense square matrices of naturals, just big enough for the transition
    powering below. *)
@@ -498,6 +376,10 @@ let rec nat_mat_pow m e =
     if e land 1 = 1 then nat_mat_mul h2 m else h2
   end
 
+(* Every table constant lies outside the symbolic domain, so all d values
+   are plain (base coverage 0) and induce the same transition: the value
+   scan is that matrix, over remaining-null vectors in mixed radix,
+   raised to the d-th power. *)
 let uniform_symbolic q facts ~domain_size =
   if domain_size < 1 then
     invalid_arg "Count_val.uniform_symbolic: domain_size must be positive";
@@ -507,110 +389,21 @@ let uniform_symbolic q facts ~domain_size =
      external to the symbolic domain. *)
   let db = Idb.make facts (Idb.Uniform [ "Â§sym" ]) in
   let d = domain_size in
-  if not (singleton_relations_nonempty q db) then Nat.zero
-  else begin
-    let setup = singleton_setup q db in
-    let forbidden_all = setup.forbidden_all in
-    let all_nulls = setup.all_nulls in
-    let constrained_occ = setup_occ setup in
-    (* Every table constant is external to the symbolic domain. *)
-    let external_covers = setup_external_covers setup Sset.empty in
-    let n_s sub_forbidden =
-      let atoms_mask = List.fold_left ( lor ) 0 sub_forbidden in
-      let ext_unsafe =
-        List.exists
-          (fun m -> List.exists (fun f -> m land f = f) sub_forbidden)
-          (List.map (fun m -> m land atoms_mask) external_covers)
+  nat_signed_sum q db ~in_domain:Sset.empty (fun ~cover:_ t ->
+      let radix = Array.map succ t.sizes in
+      let nstates, strides =
+        Array.fold_left_map (fun p r -> (p * r, p)) 1 radix
       in
-      if ext_unsafe then Nat.zero
-      else begin
-        let class_counts = Hashtbl.create 8 in
-        let free = ref 0 in
-        List.iter
-          (fun n ->
-            let m = constrained_occ n land atoms_mask in
-            if m = 0 then incr free
-            else begin
-              let cur = Option.value ~default:0 (Hashtbl.find_opt class_counts m) in
-              Hashtbl.replace class_counts m (cur + 1)
-            end)
-          all_nulls;
-        let classes =
-          Hashtbl.fold (fun m c acc -> (m, c) :: acc) class_counts []
-          |> List.sort Stdlib.compare
-        in
-        let nclasses = List.length classes in
-        let class_masks = Array.of_list (List.map fst classes) in
-        let class_sizes = List.map snd classes in
-        let unsafe u = List.exists (fun f -> u land f = f) sub_forbidden in
-        let core =
-          if nclasses = 0 then Nat.one
-          else begin
-            (* State space: vectors of remaining nulls per class, encoded
-               in mixed radix. *)
-            let radix = Array.of_list (List.map (fun n -> n + 1) class_sizes) in
-            let nstates = Array.fold_left ( * ) 1 radix in
-            let decode ix =
-              let v = Array.make nclasses 0 in
-              let ix = ref ix in
-              for i = 0 to nclasses - 1 do
-                v.(i) <- !ix mod radix.(i);
-                ix := !ix / radix.(i)
-              done;
-              v
-            in
-            let encode v =
-              let ix = ref 0 in
-              for i = nclasses - 1 downto 0 do
-                ix := (!ix * radix.(i)) + v.(i)
-              done;
-              !ix
-            in
-            (* One plain value absorbs an allocation vector with a safe
-               coverage union; the transition matrix is the same for all
-               d values. *)
-            let m = Array.make_matrix nstates nstates Nat.zero in
-            for from = 0 to nstates - 1 do
-              let rem = decode from in
-              let rec alloc i union ways acc =
-                if i = nclasses then begin
-                  if not (unsafe union) then begin
-                    let dest = encode (Array.of_list (List.rev acc)) in
-                    m.(dest).(from) <- Nat.add m.(dest).(from) ways
-                  end
-                end else
-                  for k = 0 to rem.(i) do
-                    let union' =
-                      if k > 0 then union lor class_masks.(i) else union
-                    in
-                    if not (unsafe union') then
-                      alloc (i + 1) union'
-                        (Nat.mul ways (Combinat.binomial rem.(i) k))
-                        ((rem.(i) - k) :: acc)
-                  done
-              in
-              alloc 0 0 Nat.one []
-            done;
-            let powered = nat_mat_pow m d in
-            let full_state = encode (Array.of_list (List.map (fun n -> n) class_sizes)) in
-            powered.(0).(full_state)
-            (* state 0 encodes the all-zero remaining vector *)
-          end
-        in
-        Nat.mul core (Combinat.power d !free)
-      end
-    in
-    let result = ref Zint.zero in
-    List.iter
-      (fun subset ->
-        let term = Zint.of_nat (n_s subset) in
-        let signed =
-          if List.length subset land 1 = 0 then term else Zint.neg term
-        in
-        result := Zint.add !result signed)
-      (Combinat.subsets forbidden_all);
-    Zint.to_nat !result
-  end
+      let encode v = Array.fold_left ( + ) 0 (Array.map2 ( * ) v strides) in
+      let m = Array.make_matrix nstates nstates Nat.zero in
+      for s = 0 to nstates - 1 do
+        let rem = Array.mapi (fun i st -> s / st mod radix.(i)) strides in
+        allocations t ~base:0 rem (fun left ways _ ->
+            let s' = encode left in
+            m.(s').(s) <- Nat.add m.(s').(s) ways)
+      done;
+      (* state 0 encodes the all-placed vector *)
+      Nat.mul (nat_mat_pow m d).(0).(encode t.sizes) (Combinat.power d t.free))
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher.                                                         *)
@@ -618,6 +411,13 @@ let uniform_symbolic q facts ~domain_size =
 
 module Events = Incdb_obs.Events
 module Log = Incdb_obs.Log
+
+let arm_span = function
+  | Product_of_domains -> "count_val.product_of_domains"
+  | Codd_per_atom -> "count_val.codd_per_atom"
+  | Uniform_block_dp -> "count_val.uniform_block_dp"
+  | Lineage_elimination -> "count_val.lineage_elimination"
+  | Brute_force -> "count_val.brute_force"
 
 (* Brute-force routed through the sharded engine; [jobs = 1] (the
    default) is exactly the sequential [Brute] code path. *)
@@ -629,7 +429,7 @@ let brute_force ?limit ?(jobs = 1) q db =
    caller should enumerate instead. *)
 let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
     ?cache ?spill ?spill_dir ?jobs q db =
-  Events.with_span "count_val.lineage_elimination" (fun () ->
+  Events.with_span (arm_span Lineage_elimination) (fun () ->
       match
         Val_kernel.count ?width_bound ?max_events ?max_cells ?order
           ?cache_entries ?cache ?spill ?spill_dir ?jobs q db
@@ -641,37 +441,32 @@ let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
           events limit;
         None)
 
+(* Table 1's tractable #Val cells, tested in order: Theorem 3.6, 3.7,
+   then 3.9. *)
+let closed_form q db =
+  if all_variables_single q then
+    Some (Product_of_domains, fun () -> nonuniform_naive q db)
+  else if atoms_share_no_variable q && Idb.is_codd db then
+    Some (Codd_per_atom, fun () -> codd_nonuniform q db)
+  else if uniform_shape_ok q && Idb.is_uniform db then
+    Some (Uniform_block_dp, fun () -> uniform_naive q db)
+  else None
+
 let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
     ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs q
     db =
   Events.with_span "count_val.count" (fun () ->
       (* Phase 1: pattern matching -- decide which closed form applies. *)
-      let algo =
-        Events.with_span "count_val.pattern_match" (fun () ->
-            if all_variables_single q then Product_of_domains
-            else if atoms_share_no_variable q && Idb.is_codd db then
-              Codd_per_atom
-            else if uniform_shape_ok q && Idb.is_uniform db then
-              Uniform_block_dp
-            else Lineage_elimination)
+      let closed =
+        Events.with_span "count_val.pattern_match" (fun () -> closed_form q db)
       in
+      let algo = Option.fold ~none:Lineage_elimination ~some:fst closed in
       Log.debugf "count_val: %s -> %s" (Cq.to_string q) (algorithm_to_string algo);
-      (* Phase 2: closed-form dispatch, the compiled-lineage kernel, or
+      (* Phase 2: the closed form, the compiled-lineage kernel, or
          brute-force enumeration when the event set is too large. *)
-      match algo with
-      | Product_of_domains ->
-        ( algo,
-          Events.with_span "count_val.product_of_domains" (fun () ->
-              nonuniform_naive q db) )
-      | Codd_per_atom ->
-        ( algo,
-          Events.with_span "count_val.codd_per_atom" (fun () ->
-              codd_nonuniform q db) )
-      | Uniform_block_dp ->
-        ( algo,
-          Events.with_span "count_val.uniform_block_dp" (fun () ->
-              uniform_naive q db) )
-      | Lineage_elimination | Brute_force -> (
+      match closed with
+      | Some (algo, run) -> (algo, Events.with_span (arm_span algo) run)
+      | None -> (
         match
           try_kernel ?width_bound:val_width_bound ?max_events:val_max_events
             ?max_cells:val_max_cells ?order:val_order
@@ -681,7 +476,7 @@ let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
         | Some n -> (Lineage_elimination, n)
         | None ->
           ( Brute_force,
-            Events.with_span "count_val.brute_force" (fun () ->
+            Events.with_span (arm_span Brute_force) (fun () ->
                 brute_force ?limit:brute_limit ?jobs (Query.Bcq q) db) )))
 
 let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
@@ -703,10 +498,10 @@ let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
         | Some n -> (Lineage_elimination, n)
         | None ->
           ( Brute_force,
-            Events.with_span "count_val.brute_force" (fun () ->
+            Events.with_span (arm_span Brute_force) (fun () ->
                 brute_force ?limit:brute_limit ?jobs q db) ))
   | Query.Semantic _ ->
     Events.with_span "count_val.count" (fun () ->
         ( Brute_force,
-          Events.with_span "count_val.brute_force" (fun () ->
+          Events.with_span (arm_span Brute_force) (fun () ->
               brute_force ?limit:brute_limit ?jobs q db) ))

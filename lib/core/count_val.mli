@@ -17,6 +17,11 @@
       values whose state is the vector of unassigned nulls per occurrence
       class — the executable form of the paper's nested block sums.
 
+    That block DP is written once, over its number type, and driven two
+    ways: value by value ({!uniform_naive} in [Nat], {!uniform_weighted}
+    in [Qnum]), or as the d-th power of the plain-value transition
+    matrix ({!uniform_symbolic}).
+
     {!count} dispatches on the query shape; hard instances go to the
     {!Val_kernel} lineage variable-elimination kernel, with brute force
     (under an enumeration limit) only when the kernel's compiled event
@@ -74,6 +79,11 @@ val uniform_symbolic : Cq.t -> Idb.fact list -> domain_size:int -> Nat.t
     or a distribution not summing to 1. *)
 val uniform_weighted :
   Cq.t -> Incdb_incomplete.Idb.t -> weight:(string -> Qnum.t) -> Qnum.t
+
+(** [closed_form q db] is the closed form that answers [#Val(q)] on [db]
+    — Theorem 3.6, 3.7 or 3.9, tested in that order, as {!count} does —
+    with a thunk computing it, or [None] when [(q, db)] has none. *)
+val closed_form : Cq.t -> Idb.t -> (algorithm * (unit -> Nat.t)) option
 
 (** [count ?brute_limit ?val_width_bound ?val_max_events ?jobs q db] picks
     the matching tractable algorithm for [(q, db)] — or, on the hard

@@ -197,14 +197,8 @@ let run_approx state (r : Protocol.t) db q =
     match r.meth with
     | Protocol.Karp_luby ->
       let events = List.length (Incdb_approx.Karp_luby.events query db) in
-      let est =
-        if r.jobs = 1 then
-          Incdb_approx.Karp_luby.estimate ~seed:r.seed ~samples query db
-        else
-          Incdb_par.Karp_luby_par.estimate ~jobs:r.jobs ~seed:r.seed ~samples
-            query db
-      in
-      ([ ("method", Json.String "karp-luby"); ("events", Json.Int events) ], est)
+      ( [ ("method", Json.String "karp-luby"); ("events", Json.Int events) ],
+        Incdb_approx.Karp_luby.estimate ~seed:r.seed ~samples query db )
     | Protocol.Monte_carlo ->
       ( [ ("method", Json.String "monte-carlo") ],
         Incdb_approx.Montecarlo.estimate ~seed:r.seed ~samples query db )
@@ -266,12 +260,11 @@ let run_classify q =
     ]
 
 let run_bounds (r : Protocol.t) db q =
-  let samples = Protocol.samples r in
-  let b = Comp_bounds.bounds ~seed:r.seed ~samples q db in
+  let b = Comp_bounds.bounds ~seed:r.seed ~samples:(Protocol.samples r) q db in
   let exact =
-    match Comp_bounds.exact_within ~seed:r.seed ~samples q db with
-    | Some n -> Json.String (Nat.to_string n)
-    | None -> Json.Null
+    if Nat.equal b.Comp_bounds.lower b.Comp_bounds.upper then
+      Json.String (Nat.to_string b.Comp_bounds.lower)
+    else Json.Null
   in
   Json.Assoc
     [

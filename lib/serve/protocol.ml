@@ -113,10 +113,11 @@ let rows =
   [
     int "jobs" ~short:"j" ~default:1 ~ops:[ "count"; "approx"; "batch" ]
       ~doc:
-        "Worker domains for the parallel engines (sharded brute force, \
-         parallel Karp-Luby, a batch's sub-requests): 1 is the sequential \
-         path, 0 the machine's recommended domain count.  Answers are \
-         identical at every value."
+        "Worker domains for the parallel engines (the #Val kernel's \
+         conditioning branches, sharded brute force and candidate \
+         enumeration, a batch's sub-requests): 1 is the sequential path, 0 \
+         the machine's recommended domain count.  Answers are identical at \
+         every value; approx always samples one sequential stream."
       (fun r jobs -> { r with jobs });
     enum "problem" ~short:"p"
       [ ("val", Val); ("valuations", Val); ("comp", Comp);

@@ -15,15 +15,9 @@ module Log = Incdb_obs.Log
 let connections_total = Metrics.counter "serve.connections"
 let disconnects_total = Metrics.counter "serve.disconnects"
 
-type opts = { state : State.t }
-
-let make_opts ?state () =
-  let state = match state with Some s -> s | None -> State.create () in
-  { state }
-
 (* Serve one NDJSON conversation.  Returns [`Shutdown] when the peer
    asked the whole server to stop, [`Eof] when it just went away. *)
-let serve_channel (o : opts) ic oc =
+let serve_channel state ic oc =
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> `Eof
@@ -36,7 +30,7 @@ let serve_channel (o : opts) ic oc =
           | Error msg ->
             ( Protocol.err ~id:Json.Null ~kind:"bad_request" msg,
               false )
-          | Ok req -> (Engine.handle o.state req, req.Protocol.op = "shutdown")
+          | Ok req -> (Engine.handle state req, req.Protocol.op = "shutdown")
         in
         match
           output_string oc (Protocol.to_line resp);
@@ -51,7 +45,7 @@ let serve_channel (o : opts) ic oc =
   in
   loop ()
 
-let run_stdio (o : opts) = ignore (serve_channel o stdin stdout)
+let run_stdio state = ignore (serve_channel state stdin stdout)
 
 (* ------------------------------------------------------------------ *)
 (* Socket server                                                       *)
@@ -69,7 +63,7 @@ let poke socket_path =
      with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let run_socket (o : opts) ~socket_path =
+let run_socket state ~socket_path =
   (* A dead write must surface as Sys_error on the channel, not kill
      the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -85,7 +79,7 @@ let run_socket (o : opts) ~socket_path =
     let oc = Unix.out_channel_of_descr fd in
     Fun.protect
       (fun () ->
-        match serve_channel o ic oc with
+        match serve_channel state ic oc with
         | `Shutdown ->
           Atomic.set stop true;
           poke socket_path

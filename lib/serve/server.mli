@@ -9,20 +9,15 @@
     Client disconnects (EOF on read, EPIPE on write) end only their own
     connection and tick [serve.disconnects]. *)
 
-type opts = { state : State.t }
-
-(** [make_opts ()] builds server options with a fresh warm state (or
-    the one given). *)
-val make_opts : ?state:State.t -> unit -> opts
-
 (** Serve one conversation on the given channels; returns on EOF or
     after answering a [shutdown]. *)
-val serve_channel : opts -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
+val serve_channel :
+  State.t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
 
 (** {!serve_channel} on stdin/stdout. *)
-val run_stdio : opts -> unit
+val run_stdio : State.t -> unit
 
 (** Bind, listen and serve [socket_path] until a [shutdown] request;
     an existing socket file is replaced.  Keep the path short: Unix
     limits [sun_path] to roughly 100 bytes. *)
-val run_socket : opts -> socket_path:string -> unit
+val run_socket : State.t -> socket_path:string -> unit

@@ -165,25 +165,35 @@ let test_mu_completions () =
 (* Symbolic-domain counting via matrix exponentiation                  *)
 (* ------------------------------------------------------------------ *)
 
-let prop_symbolic_matches_explicit =
-  QCheck.Test.make ~count:60
-    ~name:"matrix-power #Val^u = explicit-domain algorithm"
+let prop_symbolic_matches_explicit ~name query schema =
+  QCheck.Test.make ~count:60 ~name
     QCheck.(make (QCheck.Gen.pair (QCheck.Gen.int_range 1 1_000_000)
                     (QCheck.Gen.int_range 1 6)))
     (fun (seed, d) ->
       (* Constants drawn from a..e; the explicit domain must be disjoint
          from them to match the symbolic convention. *)
       let db0 =
-        Gen.random_idb ~seed ~schema:[ ("R", 1); ("S", 1); ("T", 2) ] ~rows:2
-          ~codd:(seed mod 2 = 0) ~uniform:true
+        Gen.random_idb ~seed ~schema ~rows:2 ~codd:(seed mod 2 = 0)
+          ~uniform:true
       in
       let facts = Idb.facts db0 in
       let dom = List.init d (fun i -> Printf.sprintf "z%d" i) in
       let db = Idb.make facts (Idb.Uniform dom) in
-      let q = Cq.of_string "R(x), S(x), T(u,v)" in
+      let q = Cq.of_string query in
       Nat.equal
         (Count_val.uniform_symbolic q facts ~domain_size:d)
         (Count_val.uniform_naive q db))
+
+let prop_symbolic_one_group =
+  prop_symbolic_matches_explicit
+    ~name:"matrix-power #Val^u = explicit-domain algorithm"
+    "R(x), S(x), T(u,v)" [ ("R", 1); ("S", 1); ("T", 2) ]
+
+(* Two basic singletons: four signed Lemma A.13 terms. *)
+let prop_symbolic_two_groups =
+  prop_symbolic_matches_explicit
+    ~name:"matrix-power #Val^u = explicit-domain algorithm, two singletons"
+    "R(x), S(x), T(y), U(y)" [ ("R", 1); ("S", 1); ("T", 1); ("U", 1) ]
 
 let test_symbolic_closed_form () =
   (* q = R(x) ∧ S(x) with 2 R-nulls and 1 S-null over a symbolic domain
@@ -322,19 +332,18 @@ let prop_comp_bounds_sound =
 
 let test_comp_bounds_meet () =
   (* On a tiny instance enough sampling witnesses every completion and
-     the upper bound is the tractable #Val; bounds may or may not meet,
-     but exact_within must be consistent with brute force when it answers. *)
+     the upper bound is the tractable #Val, so both bounds meet at the
+     brute-force count. *)
   let db =
     Idb.make
       [ Idb.fact "R" [ Term.null "n" ] ]
       (Idb.Uniform [ "0"; "1"; "2" ])
   in
   let q = Cq.of_string "R(x)" in
-  (match Comp_bounds.exact_within ~seed:3 ~samples:500 q db with
-  | Some n ->
-    Gen.check_nat "meets at the exact value" n
-      (Brute.count_completions (Query.Bcq q) db)
-  | None -> Alcotest.fail "bounds should meet on 3 completions");
+  let exact = Brute.count_completions (Query.Bcq q) db in
+  let b = Comp_bounds.bounds ~seed:3 ~samples:500 q db in
+  Gen.check_nat "lower meets the exact value" exact b.Comp_bounds.lower;
+  Gen.check_nat "upper meets the exact value" exact b.Comp_bounds.upper;
   (* Unsatisfiable query: both bounds are zero. *)
   let q2 = Cq.of_string "R(x), S(x)" in
   let b = Comp_bounds.bounds ~seed:3 ~samples:50 q2 db in
@@ -611,7 +620,8 @@ let () =
         prop_neq_events;
         prop_comp_candidates;
         prop_bag_bounds;
-        prop_symbolic_matches_explicit;
+        prop_symbolic_one_group;
+        prop_symbolic_two_groups;
         prop_comp_bounds_sound;
         prop_symbolic_comp;
         prop_domain_polynomial;

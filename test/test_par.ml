@@ -1,5 +1,5 @@
-(* Tests for the multicore execution layer: the domain pool, sharded
-   brute force and parallel Karp–Luby.
+(* Tests for the multicore execution layer: the domain pool and sharded
+   brute force.
 
    The load-bearing properties are the agreement ones: for any instance
    and any job count the parallel engines must return bit-identical
@@ -165,36 +165,6 @@ let prop_par_comp_agrees =
                (Brute_par.completions ~jobs db))
         job_levels)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel Karp–Luby determinism                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_kl_par_jobs_invariant () =
-  let db = figure1 () in
-  let q = Query.Bcq (Cq.of_string "S(x,y), S(y,x)") in
-  let reference = Karp_luby_par.estimate ~jobs:1 ~seed:7 ~samples:4_321 q db in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "bit-identical estimate (jobs=%d)" jobs)
-        reference
-        (Karp_luby_par.estimate ~jobs ~seed:7 ~samples:4_321 q db))
-    [ 2; 3; 4 ];
-  let est, hw = Karp_luby_par.estimate_with_ci ~jobs:4 ~seed:7 ~samples:4_321 q db in
-  Alcotest.(check (float 0.0)) "with_ci estimate matches" reference est;
-  Alcotest.(check bool) "half-width positive and finite" true
-    (hw > 0. && Float.is_finite hw)
-
-let test_kl_par_close_to_exact () =
-  let db = figure1 () in
-  let q = Query.Bcq (Cq.of_string "S(x,y), S(y,x)") in
-  let exact = 5.0 in
-  let est = Karp_luby_par.estimate ~jobs:4 ~seed:11 ~samples:60_000 q db in
-  Alcotest.(check bool)
-    (Printf.sprintf "estimate %.3f within 5%% of %.0f" est exact)
-    true
-    (Float.abs (est -. exact) /. exact < 0.05)
-
 let () =
   Alcotest.run "par"
     [
@@ -218,12 +188,5 @@ let () =
             test_figure1_counts;
           QCheck_alcotest.to_alcotest prop_par_val_agrees;
           QCheck_alcotest.to_alcotest prop_par_comp_agrees;
-        ] );
-      ( "karp-luby",
-        [
-          Alcotest.test_case "jobs-invariant estimates" `Quick
-            test_kl_par_jobs_invariant;
-          Alcotest.test_case "close to exact" `Quick
-            test_kl_par_close_to_exact;
         ] );
     ]

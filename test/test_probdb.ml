@@ -286,15 +286,14 @@ let prop_indnull_single =
         (Indnull.probability_single_occurrence q t)
         (Indnull.probability_brute (Query.Bcq q) t))
 
-let prop_uniform_weighted =
+let prop_uniform_weighted ~name ~rows query schema =
   (* The weighted Thm 3.9 DP equals weighted enumeration, and uniform
      weights reproduce #Val/total. *)
-  QCheck.Test.make ~count:50 ~name:"weighted Thm 3.9 DP = enumeration"
+  QCheck.Test.make ~count:50 ~name
     QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
     (fun seed ->
       let db =
-        Gen.random_idb ~seed ~schema:[ ("R", 1); ("S", 1) ] ~rows:3
-          ~codd:(seed mod 2 = 0) ~uniform:true
+        Gen.random_idb ~seed ~schema ~rows ~codd:(seed mod 2 = 0) ~uniform:true
       in
       QCheck.assume (Gen.manageable db);
       let dom =
@@ -308,7 +307,7 @@ let prop_uniform_weighted =
       let weight a =
         Qnum.of_ints (List.assoc a raw) total
       in
-      let q = Cq.of_string "R(x), S(x)" in
+      let q = Cq.of_string query in
       let via_dp = Incdb_core.Count_val.uniform_weighted q db ~weight in
       (* reference: weighted enumeration through Indnull with the shared
          distribution attached to every null *)
@@ -321,6 +320,16 @@ let prop_uniform_weighted =
       in
       let brute = Indnull.probability_brute (Query.Bcq q) shared in
       Qnum.equal via_dp brute)
+
+let prop_uniform_weighted_rx_sx =
+  prop_uniform_weighted ~name:"weighted Thm 3.9 DP = enumeration" ~rows:3
+    "R(x), S(x)" [ ("R", 1); ("S", 1) ]
+
+(* Two basic singletons: four signed Lemma A.13 terms. *)
+let prop_uniform_weighted_two_groups =
+  prop_uniform_weighted
+    ~name:"weighted Thm 3.9 DP = enumeration, two singletons" ~rows:2
+    "R(x), S(x), T(y), U(y)" [ ("R", 1); ("S", 1); ("T", 1); ("U", 1) ]
 
 let test_uniform_weighted_recovers_counting () =
   let db =
@@ -352,7 +361,8 @@ let () =
         prop_bridge_probability;
         prop_indnull_codd;
         prop_indnull_single;
-        prop_uniform_weighted;
+        prop_uniform_weighted_rx_sx;
+        prop_uniform_weighted_two_groups;
       ]
   in
   Alcotest.run "probdb"

@@ -321,6 +321,35 @@ let test_result_cache () =
   Alcotest.(check bool) "fresh bypasses the cache" true
     (Json.member "cached" third = None)
 
+(* An approx estimate is a function of the request minus [jobs]: the
+   result cache keys it that way, so every job count must draw the same
+   samples, and a replay must equal a fresh answer at any job count. *)
+let test_approx_jobs_invariant () =
+  let state = State.create () in
+  let approx ?(fresh = false) jobs =
+    let line =
+      Printf.sprintf
+        {|{"op":"approx","db":"%s","query":"R(x), S(x,y), T(y)","samples":2000,"jobs":%d,"fresh":%b}|}
+        (testdata "kkk.idb") jobs fresh
+    in
+    handle state line
+  in
+  let want = Json.to_string (result_of (approx 1)) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "fresh answer at jobs %d" jobs)
+        want
+        (Json.to_string (result_of (approx ~fresh:true jobs)));
+      let replay = approx 1 in
+      Alcotest.(check bool) "jobs 1 replays the cache" true
+        (get_bool "cached" replay);
+      Alcotest.(check string)
+        (Printf.sprintf "replay after a fresh answer at jobs %d" jobs)
+        want
+        (Json.to_string (result_of replay)))
+    [ 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -438,8 +467,7 @@ let roundtrip oc ic line =
 let test_socket_roundtrip () =
   let path = socket_path () in
   let state = State.create () in
-  let opts = Server.make_opts ~state () in
-  let server = Thread.create (fun () -> Server.run_socket opts ~socket_path:path) () in
+  let server = Thread.create (fun () -> Server.run_socket state ~socket_path:path) () in
   let db_path = testdata "census.idb" in
   let expected =
     Json.to_string
@@ -509,6 +537,8 @@ let () =
           Alcotest.test_case "comp transform memos" `Quick test_warm_comp_memos;
           Alcotest.test_case "classify verdicts" `Quick test_warm_classify;
           Alcotest.test_case "result cache" `Quick test_result_cache;
+          Alcotest.test_case "approx at every jobs" `Quick
+            test_approx_jobs_invariant;
         ] );
       ( "admission",
         [ Alcotest.test_case "typed refusals" `Quick test_admission_control ] );
