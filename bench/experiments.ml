@@ -415,8 +415,8 @@ let extensions () =
 (* ------------------------------------------------------------------ *)
 
 let extensions2 () =
-  section "EXT2" "matrix-power domains, hardness certificates, weighted nulls";
-  (* Matrix-power #Val^u at astronomically large domain sizes. *)
+  section "EXT2" "symbolic domains, hardness certificates, weighted nulls";
+  (* Symbolic-domain #Val^u at astronomically large domain sizes. *)
   let facts =
     List.init 3 (fun i -> Idb.fact "R" [ Term.null (Printf.sprintf "r%d" i) ])
     @ List.init 3 (fun i -> Idb.fact "S" [ Term.null (Printf.sprintf "s%d" i) ])

@@ -25,6 +25,11 @@
      conditioning splits, cache hits/misses) quantify where the work
      went.
 
+   Two more rows time the closed-form side: Theorem 3.9's block
+   convolution on R(x), S(x) with 60 nulls a side at d = 50 (checked
+   against Example 3.10's closed form), and over a symbolic domain of
+   10^6 values.
+
    As with BENCH_COMP.json, the host core count is recorded: on a
    single-core machine the jobs > 1 rows measure domain-scheduling
    overhead, not speedup.
@@ -299,6 +304,46 @@ let dense_row ~k ~d ~e ~max_cells () =
     (sc "val_kernel.spill_read_bytes")
     identical
 
+(* Theorem 3.9's block convolution on R(x), S(x) with [n] nulls and one
+   constant a side over a uniform domain of [d] values, checked against
+   Example 3.10's closed form. *)
+let thm39_uniform_row ~n ~d () =
+  let db = Instances.two_unary ~d ~nr:n ~cr:1 ~ns:n ~cs:1 in
+  let q = Cq.of_string "R(x), S(x)" in
+  let count, t = Instances.time (fun () -> Count_val.uniform_naive q db) in
+  assert (
+    Nat.equal count (Closed_forms.example_3_10 ~d ~nr:n ~cr:1 ~ns:n ~cs:1));
+  Printf.printf
+    "  Thm 3.9 (R(x), S(x), %d nulls a side, d=%d): %.3fs  (= Example 3.10 \
+     closed form)\n\
+     %!"
+    n d t;
+  Printf.sprintf
+    "    { \"section\": \"thm3.9:uniform-n%d-d%d\", \"result\": %S,\n\
+    \      \"seconds\": %.6f, \"closed_form_agrees\": true }"
+    n d (Nat.to_string count) t
+
+(* The same shape without constants over a symbolic domain of 10^[e]
+   values: one group of plain values, d entering only through C(d, j). *)
+let thm39_symbolic_row ~n ~e () =
+  let facts =
+    Incdb_incomplete.Idb.facts
+      (Instances.two_unary ~d:1 ~nr:n ~cr:0 ~ns:n ~cs:0)
+  in
+  let q = Cq.of_string "R(x), S(x)" and d = Nat.to_int (Combinat.power 10 e) in
+  let count, t =
+    Instances.time (fun () -> Count_val.uniform_symbolic q facts ~domain_size:d)
+  in
+  Printf.printf
+    "  Thm 3.9 symbolic domain (R(x), S(x), %d nulls a side, d=10^%d): \
+     %.3fs\n\
+     %!"
+    n e t;
+  Printf.sprintf
+    "    { \"section\": \"thm3.9:symbolic-n%d-d1e%d\", \"result\": %S,\n\
+    \      \"seconds\": %.6f }"
+    n e (Nat.to_string count) t
+
 let run () =
   Printf.printf "\n=== #Val kernel (lineage variable elimination) ===\n";
   Printf.printf "  host cores (recommended domain count): %d\n%!"
@@ -314,6 +359,8 @@ let run () =
   let r5 = dense_row ~k:6 ~d:8 ~e:3 ~max_cells:16384 () in
   let r6 = dense_row ~k:7 ~d:8 ~e:3 ~max_cells:16384 () in
   let r7 = dense_row ~k:8 ~d:8 ~e:3 ~max_cells:16384 () in
+  let r8 = thm39_uniform_row ~n:60 ~d:50 () in
+  let r9 = thm39_symbolic_row ~n:60 ~e:6 () in
   if speedup < 10. then
     Printf.printf
       "  WARNING: kernel speedup %.1fx below the 10x acceptance bar\n%!"
@@ -325,7 +372,8 @@ let run () =
        (Incdb_par.Pool.recommended ())
        (String.concat ", " (List.map string_of_int job_levels)));
   Buffer.add_string buf "  \"sections\": [\n";
-  Buffer.add_string buf (String.concat ",\n" [ r1; r2; r3; r4; r5; r6; r7 ]);
+  Buffer.add_string buf
+    (String.concat ",\n" [ r1; r2; r3; r4; r5; r6; r7; r8; r9 ]);
   Buffer.add_string buf "\n  ]\n}\n";
   let path =
     match Sys.getenv_opt "INCDB_BENCH_VAL_OUT" with
@@ -343,4 +391,6 @@ let smoke () =
   let (_ : string) = beyond_row ~k:11 ~d:4 () in
   let (_ : string) = cache_row ~k:6 ~d:4 ~width_bound:2 () in
   let (_ : string) = dense_row ~k:2 ~d:5 ~e:2 ~max_cells:3 () in
+  let (_ : string) = thm39_uniform_row ~n:6 ~d:8 () in
+  let (_ : string) = thm39_symbolic_row ~n:6 ~e:6 () in
   ()

@@ -441,13 +441,14 @@ let dispatch_route ?max_candidates ~comp_elim ?comp_width_bound query db =
             raise (Comp_kernel.Infeasible i)
           | Error _ -> enum_or_brute ?max_candidates db))
 
-(* Shared back half of [count]/[count_all]: run the routed engine, with
-   the elimination arm falling back to [enum_or_brute] if the DP
-   outgrows its state budget mid-run under [Auto] (mirrors the #Val
-   kernel's conditioning fallback). *)
-let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
-    ?comp_max_cells ?comp_max_states ?(comp_cache = true) ?comp_memos
-    ?comp_spill_dir query db route =
+(* The one dispatcher body ([count] is its [Some q] case, [count_all] its
+   [None] case): route, then run the routed engine, with the elimination
+   arm falling back to [enum_or_brute] if the DP outgrows its state
+   budget mid-run under [Auto] (mirrors the #Val kernel's conditioning
+   fallback). *)
+let dispatch query ?brute_limit ?max_candidates ?(jobs = 1) ?mask
+    ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
+    ?comp_max_states ?(comp_cache = true) ?comp_memos ?comp_spill_dir db =
   let rec go = function
     | R_uniform ->
       ( Uniform_unary,
@@ -481,36 +482,22 @@ let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
               Incdb_par.Brute_par.count_all_completions ?limit:brute_limit
                 ~jobs db) )
   in
-  go route
-
-let count ?brute_limit ?max_candidates ?(jobs = 1) ?mask
-    ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
-    ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir q db =
   Events.with_span "count_comp.count" (fun () ->
-      let route =
-        dispatch_route ?max_candidates ~comp_elim ?comp_width_bound (Some q) db
-      in
       let algo, n =
-        run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
-          ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
-          ?comp_spill_dir (Some q) db route
+        go
+          (dispatch_route ?max_candidates ~comp_elim ?comp_width_bound query
+             db)
       in
-      Log.debugf "count_comp: %s -> %s" (Cq.to_string q)
+      Log.debugf "count_comp: %s -> %s"
+        (Option.fold ~none:"<all completions>" ~some:Cq.to_string query)
         (algorithm_to_string algo);
       (algo, n))
 
-let count_all ?brute_limit ?max_candidates ?(jobs = 1) ?mask
-    ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
-    ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir db =
-  Events.with_span "count_comp.count" (fun () ->
-      let route =
-        dispatch_route ?max_candidates ~comp_elim ?comp_width_bound None db
-      in
-      let algo, n =
-        run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
-          ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
-          ?comp_spill_dir None db route
-      in
-      Log.debugf "count_comp: <all completions> -> %s"
-        (algorithm_to_string algo);
-      (algo, n))
+let count ?brute_limit ?max_candidates ?jobs ?mask ?comp_elim
+    ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache
+    ?comp_memos ?comp_spill_dir q db =
+  dispatch (Some q) ?brute_limit ?max_candidates ?jobs ?mask ?comp_elim
+    ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache
+    ?comp_memos ?comp_spill_dir db
+
+let count_all = dispatch None

@@ -125,20 +125,23 @@ let codd_nonuniform q db =
 (* Theorem 3.9: uniform naive tables, basic-singleton shape.           *)
 (* ------------------------------------------------------------------ *)
 
-(* One block DP serves three engines: [uniform_naive] counts in [Nat],
-   [uniform_weighted] weighs in [Qnum], and [uniform_symbolic] raises the
-   plain-value transition to the d-th power.  They share the basic
-   singletons, the per-subset term, the allocation enumerator and the
-   Lemma A.13 signed sum. *)
+(* One block convolution serves three engines: [uniform_naive] counts in
+   [Nat], [uniform_weighted] weighs in [Qnum], and [uniform_symbolic]
+   takes all d values of its domain as one group.  They share the basic
+   singletons, the per-subset term, [block_conv] and the Lemma A.13
+   signed sum, and name themselves in their errors through [name]. *)
 
 let uniform_shape_ok q =
   not (Pattern.has_rxx q || Pattern.has_rx_sxy_ty q || Pattern.has_rxy_sxy q)
 
-let uniform_domain db =
+let check_shape ~name q =
+  if not (uniform_shape_ok q) then
+    invalid_arg (name ^ ": query contains a hard pattern")
+
+let uniform_domain ~name db =
   match Idb.domain_spec db with
   | Idb.Uniform dom -> dom
-  | Idb.Nonuniform _ ->
-    invalid_arg "Count_val.uniform_naive: database is not uniform"
+  | Idb.Nonuniform _ -> invalid_arg (name ^ ": database is not uniform")
 
 (* The basic singletons (Lemmas A.11 and A.12): every component of two or
    more atoms shares one variable, and each of its atoms is projected
@@ -151,7 +154,7 @@ type singletons = {
   nulls : string list;
 }
 
-let basic_singletons q db =
+let basic_singletons ~name q db =
   let comps = Conngraph.components q in
   let empty (c : Conngraph.component) =
     match c.Conngraph.atoms with
@@ -183,8 +186,7 @@ let basic_singletons q db =
           | [ _ ], _ -> None
           | atoms, Some v ->
             Some (List.fold_left (fun m a -> m lor project v a) 0 atoms)
-          | _, None ->
-            invalid_arg "Count_val.uniform_naive: query has a hard pattern")
+          | _, None -> invalid_arg (name ^ ": query has a hard pattern"))
         comps
     in
     Some { groups; cover; nulls = Idb.nulls db }
@@ -205,90 +207,138 @@ let unsafe forbidden cov = List.exists (fun f -> cov land f = f) forbidden
 type term = {
   forbidden : int list;
   masks : int array;  (* occurrence classes, ascending *)
-  sizes : int array;  (* nulls per class: the DP's starting state *)
+  sizes : int array;  (* nulls per class *)
   free : int;
 }
+
+(* The distinct elements of [l], ascending, each with its multiplicity. *)
+let tally l =
+  List.fold_right
+    (fun x acc ->
+      match acc with
+      | (y, m) :: rest when y = x -> (x, m + 1) :: rest
+      | acc -> (x, 1) :: acc)
+    (List.sort Int.compare l) []
 
 let term s ~fixed forbidden =
   if List.exists (unsafe forbidden) fixed then None
   else begin
     let atoms = List.fold_left ( lor ) 0 forbidden in
-    let counts = Hashtbl.create 8 and free = ref 0 in
-    List.iter
-      (fun n ->
-        match covered s (Term.Null n) land atoms with
-        | 0 -> incr free
-        | m ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt counts m) in
-          Hashtbl.replace counts m (cur + 1))
-      s.nulls;
-    let masks, sizes =
-      List.split
-        (List.sort Stdlib.compare
-           (Hashtbl.fold (fun m c acc -> (m, c) :: acc) counts []))
+    let free, bound =
+      List.partition (( = ) 0)
+        (List.map (fun n -> covered s (Term.Null n) land atoms) s.nulls)
     in
+    let masks, sizes = List.split (tally bound) in
     Some
       { forbidden; masks = Array.of_list masks; sizes = Array.of_list sizes;
-        free = !free }
+        free = List.length free }
   end
 
-(* Every safe way for one value of base coverage [base] to take
-   k_i <= rem.(i) of the nulls left in each class i: [yield left ways k]
-   gets the nulls left after the placement (a reused buffer: copy it to
-   keep it), ways = prod_i C(rem_i, k_i) and k = sum_i k_i.  A coverage
-   only grows as classes join it, so an unsafe prefix prunes its whole
-   subtree. *)
-let allocations t ~base rem yield =
-  let n = Array.length rem in
-  let left = Array.copy rem in
-  let rec go i cov ways k =
-    if i = n then yield left ways k
-    else
-      for j = 0 to rem.(i) do
-        let cov = if j > 0 then cov lor t.masks.(i) else cov in
-        if not (unsafe t.forbidden cov) then begin
-          left.(i) <- rem.(i) - j;
-          go (i + 1) cov (Nat.mul ways (Combinat.binomial rem.(i) j)) (k + j)
-        end
-      done
-  in
-  if not (unsafe t.forbidden base) then go 0 base Nat.one 0
+(* [block_conv]'s number type: [Nat] for counts, [Qnum] for
+   probabilities. *)
+type 'a num = {
+  zero : 'a;
+  add : 'a -> 'a -> 'a;
+  sub : 'a -> 'a -> 'a;
+  mul : 'a -> 'a -> 'a;
+  is_zero : 'a -> bool;
+  of_nat : Nat.t -> 'a;
+}
 
-(* Prop. A.14's nested block sums as a DP over the domain values, one at
-   a time, in the number type given by [zero]/[one]/[add]: the state is
-   the vector of nulls not yet placed, and each of [steps] — a value's
-   base coverage and how it scales the mass [x] carried through one
-   placement [ways], [k] — moves every state to the states its safe
-   allocations leave.  Returns the mass of the all-placed state. *)
-let block_dp ~zero ~one ~add t steps =
-  let start = Hashtbl.create 1 in
-  Hashtbl.replace start t.sizes (ref one);
-  let last =
-    List.fold_left
-      (fun tbl (base, scale) ->
-        let next = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun rem x ->
-            allocations t ~base rem (fun left ways k ->
-                let y = scale !x ways k in
-                match Hashtbl.find_opt next left with
-                | Some acc -> acc := add !acc y
-                | None -> Hashtbl.add next (Array.copy left) (ref y)))
-          tbl;
-        next)
-      start steps
+let nat =
+  { zero = Nat.zero; add = Nat.add; sub = Nat.sub; mul = Nat.mul;
+    is_zero = Nat.is_zero; of_nat = Fun.id }
+
+(* Prop. A.14's nested block sums as dense tables over the placement
+   vectors k <= t.sizes, in mixed radix: entry k is the mass of putting
+   k_i given nulls of each class i on the values taken so far with every
+   value safe.  Values come in groups [(base, m, w)] of m values with
+   base coverage [base], where k nulls placed on one value weigh w^k.
+   With h one value's table of non-empty safe placements, a group maps f
+   to sum_{j <= min(m, N)} C(m, j) conv f h^j, where N is the number of
+   nulls, h^j is h's j-fold power under conv (zero below j nulls) and
+   conv is the binomial convolution
+     conv f g (k) = sum_{j <= k} prod_i C(k_i, j_i) f(j) g(k - j).
+   A value left empty keeps its base coverage, so one unsafe base makes
+   N_S = 0.  Returns the entry of all nulls placed. *)
+let block_conv num t groups =
+  let n = Array.length t.sizes and nulls = Array.fold_left ( + ) 0 t.sizes in
+  let size, strides =
+    Array.fold_left_map (fun p s -> (p * (s + 1), p)) 1 t.sizes
   in
-  match Hashtbl.find_opt last (Array.map (fun _ -> 0) t.sizes) with
-  | Some x -> !x
-  | None -> zero
+  let digits k =
+    Array.init n (fun i -> k / strides.(i) mod (t.sizes.(i) + 1))
+  in
+  let binom =
+    Array.init (Array.fold_left max 0 t.sizes + 1) (fun a ->
+        Array.map num.of_nat (Array.init (a + 1) (Combinat.binomial a)))
+  in
+  (* [conv f h] for h given by its non-zero entries (j, h(j)): every
+     k >= j gains C(k, j) h(j) f(k - j). *)
+  let conv f h =
+    let out = Array.make size num.zero in
+    List.iter
+      (fun (j, hj) ->
+        let jd = digits j in
+        let rec go i k c =
+          for ki = jd.(i) to t.sizes.(i) do
+            let k = k + (ki * strides.(i)) in
+            let c =
+              if jd.(i) = 0 then c else num.mul c binom.(ki).(jd.(i))
+            in
+            if i > 0 then go (i - 1) k c
+            else if not (num.is_zero f.(k - j)) then
+              out.(k) <- num.add out.(k) (num.mul c f.(k - j))
+          done
+        in
+        go (n - 1) 0 hj)
+      h;
+    out
+  in
+  let group f (base, m, w) =
+    let pow = Array.make (nulls + 1) w in
+    for k = 2 to nulls do
+      pow.(k) <- num.mul pow.(k - 1) w
+    done;
+    let h =
+      List.filter_map
+        (fun j ->
+          let jd = digits j and cov = ref base in
+          Array.iteri
+            (fun i ji -> if ji > 0 then cov := !cov lor t.masks.(i))
+            jd;
+          if unsafe t.forbidden !cov then None
+          else Some (j, pow.(Array.fold_left ( + ) 0 jd)))
+        (List.init (size - 1) succ)
+    in
+    let acc = Array.copy f and p = ref f and c = ref Nat.one in
+    for j = 1 to min m nulls do
+      p := conv !p h;
+      c := Nat.div (Nat.mul !c (Nat.of_int (m - j + 1))) (Nat.of_int j);
+      let cj = num.of_nat !c in
+      Array.iteri
+        (fun k x ->
+          if not (num.is_zero x) then acc.(k) <- num.add acc.(k) (num.mul cj x))
+        !p
+    done;
+    acc
+  in
+  if List.exists (fun (base, _, _) -> unsafe t.forbidden base) groups then
+    num.zero
+  else begin
+    let start = Array.make size num.zero in
+    start.(0) <- num.of_nat Nat.one;
+    (List.fold_left group start groups).(size - 1)
+  end
 
 (* Lemma A.13: the count is sum_S (-1)^|S| N_S over the subsets S of
    basic singletons, where [n_s ~cover t] computes N_S from S's term and
    [cover c] is the coverage of constant [c].  Constants outside
-   [in_domain] keep their coverage under every valuation. *)
-let signed_sum ~zero ~add ~neg q db ~in_domain n_s =
-  match basic_singletons q db with
-  | None -> zero
+   [in_domain] keep their coverage under every valuation.  Even and odd
+   subsets are summed apart, so partial sums stay in the number type. *)
+let signed_sum num ~name q db ~in_domain n_s =
+  match basic_singletons ~name q db with
+  | None -> num.zero
   | Some s ->
     let fixed =
       Hashtbl.fold
@@ -299,111 +349,68 @@ let signed_sum ~zero ~add ~neg q db ~in_domain n_s =
         s.cover []
     in
     let cover c = covered s (Term.Const c) in
-    List.fold_left
-      (fun acc forbidden ->
-        match term s ~fixed forbidden with
-        | None -> acc
-        | Some t ->
-          let n = n_s ~cover t in
-          add acc (if List.length forbidden land 1 = 0 then n else neg n))
-      zero
-      (Combinat.subsets s.groups)
+    let even, odd =
+      List.fold_left
+        (fun (even, odd) forbidden ->
+          match term s ~fixed forbidden with
+          | None -> (even, odd)
+          | Some t ->
+            let n = n_s ~cover t in
+            if List.length forbidden land 1 = 0 then (num.add even n, odd)
+            else (even, num.add odd n))
+        (num.zero, num.zero)
+        (Combinat.subsets s.groups)
+    in
+    num.sub even odd
 
-(* [signed_sum] over natural N_S; partial sums may be negative. *)
-let nat_signed_sum q db ~in_domain n_s =
-  Zint.to_nat
-    (signed_sum ~zero:Zint.zero ~add:Zint.add ~neg:Zint.neg q db ~in_domain
-       (fun ~cover t -> Zint.of_nat (n_s ~cover t)))
-
+(* The domain values tallied by coverage: every value no constant covers
+   falls in the coverage-0 group. *)
 let uniform_naive q db =
-  if not (uniform_shape_ok q) then
-    invalid_arg "Count_val.uniform_naive: query contains a hard pattern";
-  let dom = uniform_domain db in
+  let name = "Count_val.uniform_naive" in
+  check_shape ~name q;
+  let dom = uniform_domain ~name db in
   let d = List.length dom in
-  nat_signed_sum q db ~in_domain:(Sset.of_list dom) (fun ~cover t ->
-      let step a = (cover a, fun x ways _ -> Nat.mul x ways) in
+  signed_sum nat ~name q db ~in_domain:(Sset.of_list dom) (fun ~cover t ->
+      let groups = tally (List.map cover dom) in
       Nat.mul
-        (block_dp ~zero:Nat.zero ~one:Nat.one ~add:Nat.add t
-           (List.map step dom))
+        (block_conv nat t (List.map (fun (c, m) -> (c, m, Nat.one)) groups))
         (Combinat.power d t.free))
 
 (* The probability version: N_S becomes the probability that no value is
-   unsafe, a placement of k nulls at value a weighs its ways times
+   unsafe, each value is its own group whose placements of k nulls weigh
    w(a)^k, and the free nulls integrate to total mass 1. *)
 let uniform_weighted q db ~weight =
-  if not (uniform_shape_ok q) then
-    invalid_arg "Count_val.uniform_weighted: query contains a hard pattern";
-  let dom = uniform_domain db in
+  let name = "Count_val.uniform_weighted" in
+  check_shape ~name q;
+  let dom = uniform_domain ~name db in
   let total_mass =
     List.fold_left (fun acc a -> Qnum.add acc (weight a)) Qnum.zero dom
   in
   if not (Qnum.equal total_mass Qnum.one) then
-    invalid_arg "Count_val.uniform_weighted: weights must sum to 1";
-  signed_sum ~zero:Qnum.zero ~add:Qnum.add ~neg:Qnum.neg q db
-    ~in_domain:(Sset.of_list dom) (fun ~cover t ->
-      let nulls = Array.fold_left ( + ) 0 t.sizes in
-      let step a =
-        let w = weight a and pow = Array.make (nulls + 1) Qnum.one in
-        for k = 1 to nulls do
-          pow.(k) <- Qnum.mul pow.(k - 1) w
-        done;
-        ( cover a,
-          fun x ways k -> Qnum.mul x (Qnum.mul (Qnum.of_nat ways) pow.(k)) )
-      in
-      block_dp ~zero:Qnum.zero ~one:Qnum.one ~add:Qnum.add t
-        (List.map step dom))
-
-(* Dense square matrices of naturals, just big enough for the transition
-   powering below. *)
-let nat_mat_mul a b =
-  let n = Array.length a in
-  Array.init n (fun i ->
-      Array.init n (fun j ->
-          let acc = ref Nat.zero in
-          for k = 0 to n - 1 do
-            if not (Nat.is_zero a.(i).(k) || Nat.is_zero b.(k).(j)) then
-              acc := Nat.add !acc (Nat.mul a.(i).(k) b.(k).(j))
-          done;
-          !acc))
-
-let rec nat_mat_pow m e =
-  let n = Array.length m in
-  if e = 0 then
-    Array.init n (fun i -> Array.init n (fun j -> if i = j then Nat.one else Nat.zero))
-  else begin
-    let h = nat_mat_pow m (e / 2) in
-    let h2 = nat_mat_mul h h in
-    if e land 1 = 1 then nat_mat_mul h2 m else h2
-  end
+    invalid_arg (name ^ ": weights must sum to 1");
+  let qnum =
+    { zero = Qnum.zero; add = Qnum.add; sub = Qnum.sub; mul = Qnum.mul;
+      is_zero = Qnum.is_zero; of_nat = Qnum.of_nat }
+  in
+  signed_sum qnum ~name q db ~in_domain:(Sset.of_list dom) (fun ~cover t ->
+      block_conv qnum t (List.map (fun a -> (cover a, 1, weight a)) dom))
 
 (* Every table constant lies outside the symbolic domain, so all d values
-   are plain (base coverage 0) and induce the same transition: the value
-   scan is that matrix, over remaining-null vectors in mixed radix,
-   raised to the d-th power. *)
+   are plain: one group of coverage 0, where d enters only through the
+   C(d, j). *)
 let uniform_symbolic q facts ~domain_size =
+  let name = "Count_val.uniform_symbolic" in
   if domain_size < 1 then
-    invalid_arg "Count_val.uniform_symbolic: domain_size must be positive";
-  if not (uniform_shape_ok q) then
-    invalid_arg "Count_val.uniform_symbolic: query contains a hard pattern";
+    invalid_arg (name ^ ": domain_size must be positive");
+  check_shape ~name q;
   (* The placeholder value never meets the table: constants are treated as
      external to the symbolic domain. *)
   let db = Idb.make facts (Idb.Uniform [ "Â§sym" ]) in
   let d = domain_size in
-  nat_signed_sum q db ~in_domain:Sset.empty (fun ~cover:_ t ->
-      let radix = Array.map succ t.sizes in
-      let nstates, strides =
-        Array.fold_left_map (fun p r -> (p * r, p)) 1 radix
-      in
-      let encode v = Array.fold_left ( + ) 0 (Array.map2 ( * ) v strides) in
-      let m = Array.make_matrix nstates nstates Nat.zero in
-      for s = 0 to nstates - 1 do
-        let rem = Array.mapi (fun i st -> s / st mod radix.(i)) strides in
-        allocations t ~base:0 rem (fun left ways _ ->
-            let s' = encode left in
-            m.(s').(s) <- Nat.add m.(s').(s) ways)
-      done;
-      (* state 0 encodes the all-placed vector *)
-      Nat.mul (nat_mat_pow m d).(0).(encode t.sizes) (Combinat.power d t.free))
+  signed_sum nat ~name q db ~in_domain:Sset.empty (fun ~cover:_ t ->
+      Nat.mul
+        (block_conv nat t [ (0, d, Nat.one) ])
+        (Combinat.power d t.free))
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher.                                                         *)
@@ -419,28 +426,6 @@ let arm_span = function
   | Lineage_elimination -> "count_val.lineage_elimination"
   | Brute_force -> "count_val.brute_force"
 
-(* Brute-force routed through the sharded engine; [jobs = 1] (the
-   default) is exactly the sequential [Brute] code path. *)
-let brute_force ?limit ?(jobs = 1) q db =
-  Incdb_par.Brute_par.count_valuations ?limit ~jobs q db
-
-(* Try the lineage variable-elimination kernel; [None] means it declined
-   (opaque query, or more events than [max_events] would compile) and the
-   caller should enumerate instead. *)
-let try_kernel ?width_bound ?max_events ?max_cells ?order ?cache_entries
-    ?cache ?spill ?spill_dir ?jobs q db =
-  Events.with_span (arm_span Lineage_elimination) (fun () ->
-      match
-        Val_kernel.count ?width_bound ?max_events ?max_cells ?order
-          ?cache_entries ?cache ?spill ?spill_dir ?jobs q db
-      with
-      | result -> result
-      | exception Val_kernel.Too_many_events { events; limit } ->
-        Log.debugf
-          "count_val: %d events exceed the kernel limit %d; enumerating"
-          events limit;
-        None)
-
 (* Table 1's tractable #Val cells, tested in order: Theorem 3.6, 3.7,
    then 3.9. *)
 let closed_form q db =
@@ -452,56 +437,66 @@ let closed_form q db =
     Some (Uniform_block_dp, fun () -> uniform_naive q db)
   else None
 
-let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
+(* The one dispatch path: the closed forms, tried for a BCQ only; then the
+   lineage variable-elimination kernel, which declines an opaque query or
+   more events than [val_max_events] would compile; then brute force,
+   routed through the sharded engine ([jobs = 1], the default, is the
+   sequential [Brute] code path).  [count] is its BCQ case. *)
+let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
     ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs q
     db =
   Events.with_span "count_val.count" (fun () ->
       (* Phase 1: pattern matching -- decide which closed form applies. *)
       let closed =
-        Events.with_span "count_val.pattern_match" (fun () -> closed_form q db)
+        match q with
+        | Query.Bcq cq ->
+          let closed =
+            Events.with_span "count_val.pattern_match" (fun () ->
+                closed_form cq db)
+          in
+          let algo = Option.fold ~none:Lineage_elimination ~some:fst closed in
+          Log.debugf "count_val: %s -> %s" (Cq.to_string cq)
+            (algorithm_to_string algo);
+          closed
+        | Query.Union _ | Query.Bcq_neq _ | Query.Not _ | Query.Semantic _ ->
+          None
       in
-      let algo = Option.fold ~none:Lineage_elimination ~some:fst closed in
-      Log.debugf "count_val: %s -> %s" (Cq.to_string q) (algorithm_to_string algo);
       (* Phase 2: the closed form, the compiled-lineage kernel, or
-         brute-force enumeration when the event set is too large. *)
+         brute-force enumeration. *)
+      let kernel () =
+        match q with
+        | Query.Semantic _ -> None
+        | Query.Bcq _ | Query.Union _ | Query.Bcq_neq _ | Query.Not _ ->
+          Events.with_span (arm_span Lineage_elimination) (fun () ->
+              match
+                Val_kernel.count ?width_bound:val_width_bound
+                  ?max_events:val_max_events ?max_cells:val_max_cells
+                  ?order:val_order ?cache_entries:val_cache_entries
+                  ?cache:val_cache ?spill:val_spill ?spill_dir:val_spill_dir
+                  ?jobs q db
+              with
+              | result -> result
+              | exception Val_kernel.Too_many_events { events; limit } ->
+                Log.debugf
+                  "count_val: %d events exceed the kernel limit %d; \
+                   enumerating"
+                  events limit;
+                None)
+      in
       match closed with
       | Some (algo, run) -> (algo, Events.with_span (arm_span algo) run)
       | None -> (
-        match
-          try_kernel ?width_bound:val_width_bound ?max_events:val_max_events
-            ?max_cells:val_max_cells ?order:val_order
-            ?cache_entries:val_cache_entries ?cache:val_cache ?spill:val_spill
-            ?spill_dir:val_spill_dir ?jobs (Query.Bcq q) db
-        with
+        match kernel () with
         | Some n -> (Lineage_elimination, n)
         | None ->
           ( Brute_force,
             Events.with_span (arm_span Brute_force) (fun () ->
-                brute_force ?limit:brute_limit ?jobs (Query.Bcq q) db) )))
+                Incdb_par.Brute_par.count_valuations ?limit:brute_limit ?jobs
+                  q db) )))
 
-let count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
+let count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
     ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs q
     db =
-  match q with
-  | Query.Bcq cq ->
-    count ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
-      ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs
-      cq db
-  | Query.Union _ | Query.Bcq_neq _ | Query.Not _ ->
-    Events.with_span "count_val.count" (fun () ->
-        match
-          try_kernel ?width_bound:val_width_bound ?max_events:val_max_events
-            ?max_cells:val_max_cells ?order:val_order
-            ?cache_entries:val_cache_entries ?cache:val_cache ?spill:val_spill
-            ?spill_dir:val_spill_dir ?jobs q db
-        with
-        | Some n -> (Lineage_elimination, n)
-        | None ->
-          ( Brute_force,
-            Events.with_span (arm_span Brute_force) (fun () ->
-                brute_force ?limit:brute_limit ?jobs q db) ))
-  | Query.Semantic _ ->
-    Events.with_span "count_val.count" (fun () ->
-        ( Brute_force,
-          Events.with_span (arm_span Brute_force) (fun () ->
-              brute_force ?limit:brute_limit ?jobs q db) ))
+  count_query ?brute_limit ?val_width_bound ?val_max_events ?val_max_cells
+    ?val_order ?val_cache_entries ?val_cache ?val_spill ?val_spill_dir ?jobs
+    (Query.Bcq q) db

@@ -13,14 +13,17 @@
       [R(x,x)], [R(x) ∧ S(x,y) ∧ T(y)] and [R(x,y) ∧ S(x,y)], the query
       decomposes into basic singletons (Lemma A.11), single-occurrence
       variables factor out (Lemma A.12), and each term of the Lemma A.13
-      inclusion–exclusion is computed by a dynamic program over domain
-      values whose state is the vector of unassigned nulls per occurrence
-      class — the executable form of the paper's nested block sums.
+      inclusion–exclusion is computed by a dynamic program over tables
+      indexed by how many nulls of each occurrence class are placed — the
+      executable form of the paper's nested block sums.
 
-    That block DP is written once, over its number type, and driven two
-    ways: value by value ({!uniform_naive} in [Nat], {!uniform_weighted}
-    in [Qnum]), or as the d-th power of the plain-value transition
-    matrix ({!uniform_symbolic}).
+    That DP is written once, over its number type: domain values enter
+    in groups that share a base coverage, and a group of m values costs
+    min(m, N) binomial convolutions for N nulls, so the domain size
+    enters only through C(m, j).  {!uniform_naive} ([Nat]) tallies the
+    domain by coverage, {!uniform_symbolic} ([Nat]) is one group of d
+    plain values, and {!uniform_weighted} ([Qnum]) takes each value as
+    its own group.
 
     {!count} dispatches on the query shape; hard instances go to the
     {!Val_kernel} lineage variable-elimination kernel, with brute force
@@ -60,10 +63,10 @@ val uniform_naive : Cq.t -> Idb.t -> Nat.t
     naïve table [facts] over a {e symbolic} uniform domain of
     [domain_size] fresh values (every constant of the table is treated as
     lying outside the domain).  Same tractable query shapes as
-    {!uniform_naive}, but the dynamic program over domain values is
-    replaced by exponentiation of the value-transition matrix, so the cost
-    is [O(S^3 log d)] for a state space [S] independent of [d]: exact
-    counting with domains of size 10^9 and beyond.
+    {!uniform_naive}; the d values form one group of plain values, so
+    each Lemma A.13 term costs at most N binomial convolutions of tables
+    of [S] = prod_i (n_i + 1) entries for N = sum_i n_i nulls, whatever
+    [d]: exact counting with domains of size 10^9 and beyond.
     @raise Invalid_argument on a hard query shape or [domain_size < 1]. *)
 val uniform_symbolic : Cq.t -> Idb.fact list -> domain_size:int -> Nat.t
 
@@ -120,11 +123,12 @@ val count :
   algorithm * Nat.t
 
 (** [count_query ?brute_limit ?val_width_bound ?val_max_events ?jobs q db]
-    extends {!count} to the full query language: single BCQs route
-    through {!count}; unions, inequalities and negations go through the
-    {!Val_kernel} (which handles [Not] by complementing the avoidance
-    count) with brute-force enumeration as the over-limit fallback;
-    opaque [Semantic] queries always enumerate. *)
+    extends {!count} to the full query language along one path: only a
+    single BCQ tries the closed forms, as {!count} does; unions,
+    inequalities and negations go straight to the {!Val_kernel} (which
+    handles [Not] by complementing the avoidance count) with
+    brute-force enumeration as the over-limit fallback; opaque
+    [Semantic] queries always enumerate. *)
 val count_query :
   ?brute_limit:int ->
   ?val_width_bound:int ->

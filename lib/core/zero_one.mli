@@ -27,8 +27,8 @@ val mu : Cq.t -> Idb.fact list -> k:int -> Qnum.t
     (computed by enumeration; Libkin's results cover this variant too). *)
 val mu_completions : Cq.t -> Idb.fact list -> k:int -> Qnum.t
 
-(** [mu_symbolic q facts ~k] computes [mu_k] with the matrix-power
-    algorithm ({!Count_val.uniform_symbolic}): [k] may be astronomically
+(** [mu_symbolic q facts ~k] computes [mu_k] with the symbolic-domain
+    count ({!Count_val.uniform_symbolic}): [k] may be astronomically
     large (e.g. 10^9) as long as the table constants are regarded as
     external to [{1..k}].  Exact rational output. *)
 val mu_symbolic : Cq.t -> Idb.fact list -> k:int -> Qnum.t

@@ -133,10 +133,13 @@ let prop_closed_form_two_unary =
         (Count_comp.uniform_unary ~query:q db)
         (Closed_forms.comp_two_unary_joint ~d ~nr ~ns ~nrs))
 
-let prop_closed_form_example_3_10 =
-  QCheck.Test.make ~count:60 ~name:"Example 3.10 closed form = Thm 3.9"
-    QCheck.(make (QCheck.Gen.quad (QCheck.Gen.int_range 2 6)
-                    (QCheck.Gen.int_range 0 3) (QCheck.Gen.int_range 0 3)
+(* [d] ranges over [2, max_d] and the nulls per side over [0, max_nulls];
+   one constant sits in R or in S. *)
+let prop_closed_form_example_3_10 ~name ~count ~max_d ~max_nulls =
+  QCheck.Test.make ~count ~name
+    QCheck.(make (QCheck.Gen.quad (QCheck.Gen.int_range 2 max_d)
+                    (QCheck.Gen.int_range 0 max_nulls)
+                    (QCheck.Gen.int_range 0 max_nulls)
                     (QCheck.Gen.int_range 0 1)))
     (fun (d, nr, ns, cr) ->
       let cs = 1 - cr in
@@ -153,6 +156,17 @@ let prop_closed_form_example_3_10 =
       Nat.equal
         (Incdb_core.Count_val.uniform_naive q db)
         (Closed_forms.example_3_10 ~d ~nr ~cr ~ns ~cs))
+
+let prop_example_3_10_small =
+  prop_closed_form_example_3_10 ~name:"Example 3.10 closed form = Thm 3.9"
+    ~count:60 ~max_d:6 ~max_nulls:3
+
+(* Up to 39 plain values against at most 30 nulls: a group can outnumber
+   the nulls, so its sum runs j up to N. *)
+let prop_example_3_10_large =
+  prop_closed_form_example_3_10
+    ~name:"Example 3.10 closed form = Thm 3.9, large groups" ~count:20
+    ~max_d:40 ~max_nulls:15
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
@@ -302,7 +316,8 @@ let () =
         prop_dispatcher;
         prop_closed_form_unary;
         prop_closed_form_two_unary;
-        prop_closed_form_example_3_10;
+        prop_example_3_10_small;
+        prop_example_3_10_large;
       ]
   in
   Alcotest.run "count_comp"

@@ -162,7 +162,7 @@ let test_mu_completions () =
     (Qnum.compare v Qnum.zero >= 0 && Qnum.compare c Qnum.one <= 0)
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic-domain counting via matrix exponentiation                  *)
+(* Symbolic-domain counting                                            *)
 (* ------------------------------------------------------------------ *)
 
 let prop_symbolic_matches_explicit ~name query schema =
@@ -223,6 +223,31 @@ let test_symbolic_closed_form () =
       (Zint.mul k k)
   in
   Alcotest.check qn "mu at k = 10^9" expected_mu mu
+
+let test_symbolic_example_3_10 () =
+  (* Example 3.10 without constants: 20 R-nulls and 20 S-nulls over a
+     symbolic domain of d = 10^9 values.  A valuation falsifies q when
+     the R-nulls cover some m' values and the S-nulls avoid all of them:
+     #Val = d^40 - sum_{m' <= 20} C(d, m') surj(20, m') (d - m')^20. *)
+  let nulls rel =
+    List.init 20 (fun i ->
+        Idb.fact rel [ Term.null (Printf.sprintf "%s%d" rel i) ])
+  in
+  let facts = nulls "R" @ nulls "S" in
+  let q = Cq.of_string "R(x), S(x)" in
+  let d = 1_000_000_000 in
+  let bad = ref Nat.zero in
+  for m' = 0 to 20 do
+    let term =
+      Nat.mul
+        (Nat.mul (Combinat.binomial d m') (Combinat.surj 20 m'))
+        (Combinat.power (d - m') 20)
+    in
+    bad := Nat.add !bad term
+  done;
+  let expected = Nat.sub (Combinat.power d 40) !bad in
+  Gen.check_nat "20 + 20 nulls at d = 10^9" expected
+    (Count_val.uniform_symbolic q facts ~domain_size:d)
 
 let prop_symbolic_comp =
   QCheck.Test.make ~count:50
@@ -646,6 +671,8 @@ let () =
       ( "symbolic-domain",
         [
           Alcotest.test_case "closed form & huge k" `Quick test_symbolic_closed_form;
+          Alcotest.test_case "Example 3.10 at d = 10^9" `Quick
+            test_symbolic_example_3_10;
           Alcotest.test_case "shape rejection" `Quick test_symbolic_rejects;
           Alcotest.test_case "completions at 10^9" `Quick test_symbolic_comp_huge;
         ] );

@@ -351,6 +351,21 @@ let test_uniform_weighted_recovers_counting () =
   in
   Alcotest.check qn "uniform weights = #Val/total" expected p
 
+let test_uniform_weighted_errors () =
+  (* The weighted engine names itself, not the counting engine, in its
+     errors. *)
+  let db =
+    Idb.make
+      [ Idb.fact_of_strings "R" [ "?a" ]; Idb.fact_of_strings "S" [ "?b" ] ]
+      (Idb.Nonuniform [ ("a", [ "0"; "1" ]); ("b", [ "0" ]) ])
+  in
+  Alcotest.check_raises "non-uniform table"
+    (Invalid_argument "Count_val.uniform_weighted: database is not uniform")
+    (fun () ->
+      ignore
+        (Incdb_core.Count_val.uniform_weighted (Cq.of_string "R(x), S(x)") db
+           ~weight:(fun _ -> Qnum.of_ints 1 2)))
+
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
@@ -386,6 +401,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_indnull_validation;
           Alcotest.test_case "weighted Thm 3.9" `Quick
             test_uniform_weighted_recovers_counting;
+          Alcotest.test_case "weighted Thm 3.9 errors" `Quick
+            test_uniform_weighted_errors;
         ] );
       ( "bridge",
         [ Alcotest.test_case "figure 1 distribution" `Quick test_worlds_bridge ] );

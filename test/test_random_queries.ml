@@ -122,7 +122,7 @@ let random_pattern_of ~seed q =
   let st = Random.State.make [| seed |] in
   let atoms = ref (List.map (fun (a : Cq.atom) -> (a.Cq.rel, Array.to_list a.Cq.vars)) q) in
   let steps = Random.State.int st 6 in
-  for _ = 1 to steps do
+  for step = 1 to steps do
     match Random.State.int st 5 with
     | 0 ->
       (* delete an atom, keeping at least one *)
@@ -152,12 +152,13 @@ let random_pattern_of ~seed q =
             else (r, vs))
           !atoms
     | 3 ->
-      (* rename one variable everywhere to a fresh name *)
+      (* rename one variable everywhere to a fresh name; the step number
+         keeps two renames from merging two variables into one *)
       let vars =
         List.sort_uniq String.compare (List.concat_map snd !atoms)
       in
       let v = List.nth vars (Random.State.int st (List.length vars)) in
-      let fresh = "fv" ^ string_of_int (Random.State.int st 1000) in
+      let fresh = Printf.sprintf "fv%d_%d" (Random.State.int st 1000) step in
       atoms :=
         List.map
           (fun (r, vs) -> (r, List.map (fun u -> if u = v then fresh else u) vs))

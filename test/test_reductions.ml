@@ -49,6 +49,20 @@ let prop_indep_val variant name =
 let prop_indep_rst = prop_indep_val `Rst "Prop 3.8: #IS via R(x),S(x,y),T(y)"
 let prop_indep_rs = prop_indep_val `Rs "Prop 3.8: #IS via R(x,y),S(x,y)"
 
+(* Past brute force: with the dispatcher as oracle, the identity holds on
+   a 300-node path (F(302) independent sets, Fibonacci) and a 300-node
+   cycle (L(300), Lucas). *)
+let test_indep_val_large variant () =
+  let oracle q db = snd (Incdb_core.Count_val.count q db) in
+  (* The n-th term of a, b, a + b, ...: Fibonacci from (0, 1), Lucas from
+     (2, 1). *)
+  let rec nth a b n = if n = 0 then a else nth b (Nat.add a b) (n - 1) in
+  check_nat "path 300 = F(302)" (nth Nat.zero Nat.one 302)
+    (Indep_val.independent_sets_via_val ~variant ~oracle (Generators.path 300));
+  check_nat "cycle 300 = L(300)" (nth Nat.two Nat.one 300)
+    (Indep_val.independent_sets_via_val ~variant ~oracle
+       (Generators.cycle 300))
+
 (* ------------------------------------------------------------------ *)
 (* Proposition 3.5: avoiding assignments via #Val_Cd(R(x) ∧ S(x))      *)
 (* ------------------------------------------------------------------ *)
@@ -380,6 +394,10 @@ let () =
             test_pattern_reduction_preserves_shape;
           Alcotest.test_case "certificate on a lifted query" `Quick
             test_certificate_fixed;
+          Alcotest.test_case "Prop 3.8 on 300 nodes via R(x),S(x,y),T(y)"
+            `Quick (test_indep_val_large `Rst);
+          Alcotest.test_case "Prop 3.8 on 300 nodes via R(x,y),S(x,y)" `Quick
+            (test_indep_val_large `Rs);
         ] );
       ("properties", props);
     ]
