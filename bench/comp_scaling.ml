@@ -360,6 +360,63 @@ let noncodd_row ?(d = 30) ?(free_r = 2) ?(free_s = 1) () =
     (t_brute /. t_kernel) (List.length elim_configs)
     (String.concat ", " times)
 
+(* R(x), S(x) when R takes at most [r] distinct values and S at most
+   [s], out of [d]: an R-set of size i and an S-set of size j that meet,
+   sum_{i<=r} sum_{j<=s} C(d,i)·(C(d,j) - C(d-i,j)).  It counts both
+   rows below: a null shared by R and S forces the sets to meet, which
+   the query asks for anyway. *)
+let meeting_pairs ~d ~r ~s =
+  let c = Combinat.binomial in
+  Nat.sum
+    (List.concat_map
+       (fun i ->
+         List.init (s + 1) (fun j -> Nat.mul (c d i) (Nat.sub (c d j) (c (d - i) j))))
+       (List.init (r + 1) Fun.id))
+
+let rs_query = Incdb_cq.Cq.of_string "R(x), S(x)"
+
+(* R(x), S(x) over [d]-value domains, where the sweep order decides the
+   frontier: with ?p in both relations (one free R-null, two free
+   S-nulls), a relation-by-relation sweep leaves every clause
+   R(v) ∧ S(v) open at once; the window-closing sweep closes each
+   clause right after opening it.  Through the dispatcher under Auto,
+   which must route it to elimination. *)
+let shared_query_row ?(d = 60) ?(free_r = 1) ?(free_s = 2) () =
+  let db = Instances.shared_unary ~d ~free_r ~free_s in
+  let (algo, n), t = time_best (fun () -> Count_comp.count rs_query db) in
+  assert (algo = Count_comp.Lineage_elimination);
+  assert (Nat.equal n (meeting_pairs ~d ~r:(1 + free_r) ~s:(1 + free_s)));
+  Printf.printf
+    "  non-Codd shared null under R(x), S(x) (d=%d, %d+%d free nulls): \
+     kernel %.4fs  count %s (closed form)\n\
+     %!"
+    d free_r free_s t (Nat.to_string n);
+  Printf.sprintf
+    "    { \"section\": \"comp_elim:noncodd-shared-query-%d-dom\", \
+     \"result\": %S,\n\
+    \      \"kernel_seconds\": %.6f }"
+    d (Nat.to_string n) t
+
+(* The Codd table with [n] nulls in R and [n] in S over [d] values each,
+   R(x), S(x): 2d candidates, forced through the kernel. *)
+let codd_pair_row ?(d = 30) ?(n = 4) () =
+  let db = Instances.codd_unary_pair ~d ~n in
+  let (algo, nn), t =
+    time_best (fun () -> Count_comp.count ~comp_elim:Comp_kernel.Force rs_query db)
+  in
+  assert (algo = Count_comp.Lineage_elimination);
+  assert (Nat.equal nn (meeting_pairs ~d ~r:n ~s:n));
+  Printf.printf
+    "  Codd %d+%d nulls under R(x), S(x) (%d candidates): kernel %.4fs  count %s \
+     (closed form)\n\
+     %!"
+    n n (2 * d) t (Nat.to_string nn);
+  Printf.sprintf
+    "    { \"section\": \"comp_elim:codd-%dx%d-%d-candidates\", \
+     \"result\": %S,\n\
+    \      \"kernel_seconds\": %.6f }"
+    n n (2 * d) (Nat.to_string nn) t
+
 let write_sections rows =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"schema_version\": 1,\n";
@@ -392,7 +449,9 @@ let run () =
   let r6 = repr_row () in
   let r7 = elim_row () in
   let r8 = noncodd_row () in
-  write_sections [ r1; r2; r3; r4; r5; r6; r7; r8 ]
+  let r9 = shared_query_row () in
+  let r10 = codd_pair_row () in
+  write_sections [ r1; r2; r3; r4; r5; r6; r7; r8; r9; r10 ]
 
 (* Kernel-only sections for the @bench-compare regression gate: skips
    the seed enumerator legs (the 22-candidate seed run alone costs
@@ -409,7 +468,9 @@ let run_gate () =
   let r4 = repr_row () in
   let r5 = elim_row () in
   let r6 = noncodd_row () in
-  write_sections [ r1; r2; r3; r4; r5; r6 ]
+  let r7 = shared_query_row () in
+  let r8 = codd_pair_row () in
+  write_sections [ r1; r2; r3; r4; r5; r6; r7; r8 ]
 
 (* Tiny sizes for @bench-smoke.  The beyond-seed row has no tiny variant
    — the seed only refuses above its fixed 22-candidate ceiling — so the
@@ -427,4 +488,6 @@ let smoke () =
      domain. *)
   let (_ : string) = elim_row ~d:30 ~n:2 () in
   let (_ : string) = noncodd_row ~d:8 ~free_r:1 ~free_s:1 () in
+  let (_ : string) = shared_query_row ~d:8 () in
+  let (_ : string) = codd_pair_row ~d:8 ~n:2 () in
   ()

@@ -93,6 +93,16 @@ let shared_unary ~d ~free_r ~free_s =
     @ (Idb.fact "S" [ Term.null "p" ] :: free "S" "s" free_s))
     (Idb.Nonuniform (List.map (fun n -> (n, dom)) names))
 
+(* The Codd counterpart: [n] single-occurrence nulls in R and [n] in S,
+   each over its own copy of a [d]-value domain (2d candidates). *)
+let codd_unary_pair ~d ~n =
+  let dom = List.init d (fun i -> "v" ^ string_of_int i) in
+  let names prefix = List.init n (Printf.sprintf "%s%d" prefix) in
+  let side rel prefix = List.map (fun x -> Idb.fact rel [ Term.null x ]) (names prefix) in
+  Idb.make
+    (side "R" "r" @ side "S" "s")
+    (Idb.Nonuniform (List.map (fun x -> (x, dom)) (names "r" @ names "s")))
+
 let figure1 () =
   Idb.make
     [

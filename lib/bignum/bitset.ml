@@ -17,12 +17,10 @@ module type MASK = sig
   val name : string
   val max_width : int
   val zero : width:int -> t
-  val full : width:int -> t
   val low : width:int -> int -> t
   val set : t -> int -> t
   val test : t -> int -> bool
   val union : t -> t -> t
-  val inter : t -> t -> t
   val is_empty : t -> bool
   val disjoint : t -> t -> bool
   val subset : t -> t -> bool
@@ -48,11 +46,9 @@ module Int = struct
     if n = max_width then max_int else (1 lsl n) - 1
 
   let zero ~width:_ = 0
-  let full ~width = low ~width width
   let set m i = m lor (1 lsl i)
   let test m i = m land (1 lsl i) <> 0
   let union a b = a lor b
-  let inter a b = a land b
   let is_empty m = m = 0
   let disjoint a b = a land b = 0
   let subset a b = a land b = a
@@ -95,8 +91,6 @@ module Wide = struct
     if rem > 0 then m.(fullw) <- (1 lsl rem) - 1;
     m
 
-  let full ~width = low ~width width
-
   let set m i =
     let m' = Array.copy m in
     m'.(i / bits_per_word) <-
@@ -106,7 +100,6 @@ module Wide = struct
   let test m i = m.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
   let union a b = Array.init (Array.length a) (fun k -> a.(k) lor b.(k))
-  let inter a b = Array.init (Array.length a) (fun k -> a.(k) land b.(k))
 
   let is_empty m =
     let rec go k = k = Array.length m || (m.(k) = 0 && go (k + 1)) in

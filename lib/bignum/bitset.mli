@@ -24,7 +24,7 @@ val bits_per_word : int
 val words_for : int -> int
 
 (** The operations the mask-consuming layers are functorized over.
-    Sets are over bit positions [0 .. width - 1]; [zero]/[full]/[low]
+    Sets are over bit positions [0 .. width - 1]; [zero]/[low]
     fix the width, everything else preserves it. *)
 module type MASK = sig
   type t
@@ -39,9 +39,6 @@ module type MASK = sig
   (** The empty set over [width] bits. *)
   val zero : width:int -> t
 
-  (** All [width] bits set. *)
-  val full : width:int -> t
-
   (** The lowest [n] bits set, in a set of [width] bits ([n <= width]). *)
   val low : width:int -> int -> t
 
@@ -52,7 +49,6 @@ module type MASK = sig
   val test : t -> int -> bool
 
   val union : t -> t -> t
-  val inter : t -> t -> t
   val is_empty : t -> bool
 
   (** [disjoint a b]: no common bit. *)
@@ -87,7 +83,7 @@ end
 (** Single-word masks: the original kernel representation, verbatim.
     [zero]/[set]/[union]/... compile to the int operations the
     pre-functor code spelled inline.  Widths beyond {!bits_per_word}
-    are a programming error ([full]/[low] raise [Invalid_argument]). *)
+    are a programming error ([low] raises [Invalid_argument]). *)
 module Int : MASK with type t = int
 
 (** Multi-word masks: [int array] of {!bits_per_word}-bit words, lowest

@@ -8,7 +8,7 @@
    table iff every fact's ground image under [a] meets S (star) and S is
    saturated by a matching of candidates to distinct producing facts
    (the valuation is onto S).  The DP sweeps candidate bits in a
-   tree-decomposition order, deciding in/out per bit; per conditioning
+   window-closing order, deciding in/out per bit; per conditioning
    branch the state is the antichain of achievable free-fact sets over
    the currently open fact windows (matching feasibility is monotone in
    the free set, so maximal sets are exactly the information the future
@@ -20,7 +20,10 @@
    R(n), R(m), S(n), S(m) with (n,m) = (0,1) and (1,0)).  All branches
    therefore run jointly in one sweep; a subset is accepted when at
    least one branch is alive, so each completion counts once: the joint
-   state is a function of the selected subset alone.
+   state is a function of the selected subset alone.  Branches whose
+   producers agree on every remaining bit have the same future, and
+   acceptance only asks for one live branch, so the state keeps, per
+   such class, the set of its branches' sub-states.
 
    Determinism: the sweep is sequential, the frontier is an explicit
    array in first-reach order, families are interned behind canonical
@@ -75,6 +78,7 @@ let max_slots = 62
    exports, at zero when it never ran. *)
 let elim_dispatch = Metrics.counter "comp_kernel.elim_dispatch"
 let elim_width_gauge = Metrics.gauge "comp_kernel.elim_width"
+let clause_width_gauge = Metrics.gauge "comp_kernel.clause_width"
 let cond_branches = Metrics.counter "comp_kernel.cond_branches"
 let elim_states = Metrics.counter "comp_kernel.elim_states"
 let elim_cache_hits = Metrics.counter "comp_kernel.elim_cache_hits"
@@ -87,12 +91,15 @@ let elim_spill_bytes = Metrics.counter "comp_kernel.elim_spill_bytes"
 (* ------------------------------------------------------------------ *)
 
 type step = {
-  bag : int;  (* tree-decomposition bag that introduced this bit *)
+  bag : int;  (* bags end after each step that closes a window *)
   enter_facts : int array;  (* fact windows opening before this bit *)
   enter_clauses : int array;
-  producers : (int * int array option) array;
-      (* facts whose image contains this bit: (fact, Some branches)
-         restricts to the listed conditioning branches, None means all *)
+  producers : int array array;
+      (* per branch class before this bit: the facts whose image in that
+         class's branches contains it *)
+  groups : int array array;
+      (* per branch class after this bit: the classes before it that
+         merge into it *)
   kill_clauses : int array;  (* clauses containing this bit *)
   exit_facts : int array;  (* windows closing after this bit *)
   exit_clauses : int array;
@@ -104,8 +111,10 @@ type plan = {
   nclauses : int;
   nbranches : int;
   nshared : int;
+  nclasses : int;  (* branch classes before the first bit *)
   steps : step array;
   width : int;  (* max simultaneously open fact windows *)
+  cwidth : int;  (* max simultaneously open clause windows *)
   nbags : int;
   negated : bool;
   sat_all : bool;  (* no query: acceptance ignores clause state *)
@@ -116,6 +125,79 @@ let plan_universe p = p.m
 let plan_branches p = p.nbranches
 let plan_width p = p.width
 let plan_bags p = p.nbags
+
+(* Window-closing sweep order.  The DP state lives on the open windows
+   (fact images and clauses with some bits swept and some not), so the
+   order keeps few of them open: finish the open window with the fewest
+   unswept bits, taking first its bit that opens the fewest new windows
+   net of those it closes (ties: the bit in more already-open windows,
+   then the lowest bit).  With no window open, every unswept bit is a
+   candidate under the same score. *)
+let sweep_order m windows =
+  let size w = Array.length windows.(w) in
+  let of_bit = Array.make (max 1 m) [] in
+  for w = Array.length windows - 1 downto 0 do
+    Array.iter (fun b -> of_bit.(b) <- w :: of_bit.(b)) windows.(w)
+  done;
+  let left = Array.map Array.length windows in
+  let swept = Array.make (max 1 m) false in
+  let opened = ref [] in
+  let best = ref (-1) and best_net = ref 0 and best_inside = ref 0 in
+  let consider b =
+    if not swept.(b) then begin
+      let net = ref 0 and inside = ref 0 in
+      List.iter
+        (fun w ->
+          if left.(w) = size w then (if size w > 1 then incr net)
+          else begin
+            incr inside;
+            if left.(w) = 1 then decr net
+          end)
+        of_bit.(b);
+      if
+        !best < 0 || !net < !best_net
+        || (!net = !best_net && !inside > !best_inside)
+      then begin
+        best := b;
+        best_net := !net;
+        best_inside := !inside
+      end
+    end
+  in
+  (* With no window open, every window of an unswept bit is unopened, so
+     the score is the bit's number of multi-bit windows: a static order. *)
+  let multi =
+    Array.init m (fun b ->
+        List.fold_left (fun n w -> if size w > 1 then n + 1 else n) 0 of_bit.(b))
+  in
+  let by_score = Array.init m Fun.id in
+  Array.stable_sort (fun a b -> compare multi.(a) multi.(b)) by_score;
+  let cursor = ref 0 in
+  Array.init m (fun _ ->
+      (match !opened with
+      | [] ->
+        while swept.(by_score.(!cursor)) do
+          incr cursor
+        done;
+        best := by_score.(!cursor)
+      | w0 :: ws ->
+        let wmin =
+          List.fold_left
+            (fun a w -> if left.(w) < left.(a) || (left.(w) = left.(a) && w < a) then w else a)
+            w0 ws
+        in
+        best := -1;
+        Array.iter consider windows.(wmin));
+      let b = !best in
+      swept.(b) <- true;
+      List.iter
+        (fun w ->
+          let l = left.(w) - 1 in
+          left.(w) <- l;
+          if l > 0 && l = size w - 1 then opened := w :: !opened
+          else if l = 0 && size w > 1 then opened := List.filter (( <> ) w) !opened)
+        of_bit.(b);
+      b)
 
 let build ?query ~width_bound ~max_branches ~max_universe db =
   let facts = Array.of_list (Idb.facts db) in
@@ -288,71 +370,8 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
   in
   let clause_bits = if init_sat then [||] else clause_bits in
   let nclauses = Array.length clause_bits in
-  (* Interaction graph: a fact's branch-union image is a clique (those
-     bits compete for the fact in the matching), and so is each clause.
-     Min-degree elimination with fill-in gives the Treedec order; the
-     sweep walks the junction tree's bags in postorder. *)
-  let cliques = Array.append unions clause_bits in
-  let sweep, bag_of_step, nbags =
-    if m = 0 then ([||], [||], 0)
-    else begin
-      let adj = Array.init m (fun _ -> WB.zero ~width:m) in
-      Array.iter
-        (fun cl ->
-          if Array.length cl > 1 then begin
-            let cm = WB.zero ~width:m in
-            Array.iter (fun v -> WB.set_inplace cm v) cl;
-            Array.iter
-              (fun v ->
-                let r = WB.union adj.(v) cm in
-                WB.clear_inplace r v;
-                adj.(v) <- r)
-              cl
-          end)
-        cliques;
-      let alive = WB.copy (WB.full ~width:m) in
-      let order = Array.make m 0 in
-      for k = 0 to m - 1 do
-        let best = ref (-1) and bestd = ref max_int in
-        for v = 0 to m - 1 do
-          if WB.test alive v then begin
-            let d = WB.popcount_inter adj.(v) alive in
-            if d < !bestd then begin
-              best := v;
-              bestd := d
-            end
-          end
-        done;
-        let v = !best in
-        order.(k) <- v;
-        WB.clear_inplace alive v;
-        let nbrs = WB.inter adj.(v) alive in
-        WB.iter
-          (fun u ->
-            let r = WB.union adj.(u) nbrs in
-            WB.clear_inplace r u;
-            adj.(u) <- r)
-          nbrs
-      done;
-      let td = Treedec.build ~order:(Array.to_list order) ~cliques in
-      let seen = Array.make m false in
-      let ord = ref [] and bag_of = ref [] in
-      Array.iter
-        (fun bi ->
-          Array.iter
-            (fun v ->
-              if not seen.(v) then begin
-                seen.(v) <- true;
-                ord := v :: !ord;
-                bag_of := bi :: !bag_of
-              end)
-            td.Treedec.bags.(bi))
-        td.Treedec.postorder;
-      ( Array.of_list (List.rev !ord),
-        Array.of_list (List.rev !bag_of),
-        Treedec.bag_count td )
-    end
-  in
+  let windows = Array.append unions clause_bits in
+  let sweep = sweep_order m windows in
   let pos = Array.make (max 1 m) 0 in
   Array.iteri (fun i v -> pos.(v) <- i) sweep;
   (* Window schedule. *)
@@ -391,50 +410,86 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
   let cwidth = max_open enter_c exit_c in
   if cwidth > max_slots then
     raise (Infeasible (Width_exceeded { width = cwidth; bound = max_slots }));
-  (* Producers and clause kills, scattered over the sweep. *)
-  let producers = Array.make (max 1 m) [] in
+  (* Producers per step: [common] for every branch, [extra] for the
+     branches that the shared-null assignment makes produce the bit. *)
+  let common = Array.make (max 1 m) [] in
+  let extra = Array.make_matrix (max 1 m) nbranches [] in
+  let nprod = Array.make (max 1 m) 0 in
   for f = nf - 1 downto 0 do
     if bdep.(f) then begin
-      let per_bit : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+      Array.iter (Array.iter (fun bit -> nprod.(bit) <- nprod.(bit) + 1)) img_branch.(f);
       Array.iteri
         (fun b img ->
           Array.iter
             (fun bit ->
-              Hashtbl.replace per_bit bit
-                (b :: Option.value ~default:[] (Hashtbl.find_opt per_bit bit)))
+              if nprod.(bit) < nbranches then
+                extra.(pos.(bit)).(b) <- f :: extra.(pos.(bit)).(b))
             img)
         img_branch.(f);
       Array.iter
         (fun bit ->
-          match Hashtbl.find_opt per_bit bit with
-          | None -> ()
-          | Some rev ->
-            let brs = Array.of_list (List.rev rev) in
-            let p = pos.(bit) in
-            let sel = if Array.length brs = nbranches then None else Some brs in
-            producers.(p) <- (f, sel) :: producers.(p))
+          if nprod.(bit) = nbranches then common.(pos.(bit)) <- f :: common.(pos.(bit));
+          nprod.(bit) <- 0)
         unions.(f)
     end
     else
       Array.iter
-        (fun bit -> producers.(pos.(bit)) <- (f, None) :: producers.(pos.(bit)))
+        (fun bit -> common.(pos.(bit)) <- f :: common.(pos.(bit)))
         img_common.(f)
+  done;
+  (* Branch classes: two branches whose producers agree on every step
+     from bit i on have the same future, so the state before bit i keeps
+     one pooled set of sub-states per class.  The backward pass interns
+     (class after bit i, branch-specific producers at bit i); a class
+     before bit i is therefore a subset of one class after it. *)
+  let next = Array.make nbranches 0 and nnext = ref 1 in
+  let producers = Array.make (max 1 m) [||] and groups = Array.make (max 1 m) [||] in
+  for i = m - 1 downto 0 do
+    let ids = Hashtbl.create 8 and reps = ref [] in
+    let cls =
+      Array.init nbranches (fun b ->
+          let k = (next.(b), extra.(i).(b)) in
+          match Hashtbl.find_opt ids k with
+          | Some c -> c
+          | None ->
+            let c = Hashtbl.length ids in
+            Hashtbl.add ids k c;
+            reps := b :: !reps;
+            c)
+    in
+    let reps = Array.of_list (List.rev !reps) in
+    producers.(i) <-
+      Array.map (fun b -> Array.of_list (List.merge compare common.(i) extra.(i).(b))) reps;
+    let into = Array.make !nnext [] in
+    for c = Array.length reps - 1 downto 0 do
+      let t = next.(reps.(c)) in
+      into.(t) <- c :: into.(t)
+    done;
+    groups.(i) <- Array.map Array.of_list into;
+    Array.blit cls 0 next 0 nbranches;
+    nnext := Array.length reps
   done;
   let kills = Array.make (max 1 m) [] in
   for c = nclauses - 1 downto 0 do
     Array.iter (fun bit -> kills.(pos.(bit)) <- c :: kills.(pos.(bit))) clause_bits.(c)
   done;
+  let bag = ref 0 in
   let steps =
     Array.init m (fun i ->
-        {
-          bag = bag_of_step.(i);
-          enter_facts = Array.of_list enter_f.(i);
-          enter_clauses = Array.of_list enter_c.(i);
-          producers = Array.of_list producers.(i);
-          kill_clauses = Array.of_list kills.(i);
-          exit_facts = Array.of_list exit_f.(i);
-          exit_clauses = Array.of_list exit_c.(i);
-        })
+        let s =
+          {
+            bag = !bag;
+            enter_facts = Array.of_list enter_f.(i);
+            enter_clauses = Array.of_list enter_c.(i);
+            producers = producers.(i);
+            groups = groups.(i);
+            kill_clauses = Array.of_list kills.(i);
+            exit_facts = Array.of_list exit_f.(i);
+            exit_clauses = Array.of_list exit_c.(i);
+          }
+        in
+        if exit_f.(i) <> [] || exit_c.(i) <> [] then incr bag;
+        s)
   in
   {
     m;
@@ -442,9 +497,11 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
     nclauses;
     nbranches;
     nshared;
+    nclasses = !nnext;
     steps;
     width;
-    nbags;
+    cwidth;
+    nbags = !bag;
     negated;
     sat_all;
     init_sat;
@@ -528,16 +585,43 @@ let memos_length ms =
   Hashtbl.length ms.mentry + Hashtbl.length ms.minclude
   + Hashtbl.length ms.mproject
 
-(* State key layout: [0] viable clause-slot mask, [1] sat flag, then per
-   branch b a (family id, hit mask) pair at 2+2b / 3+2b; family id -1 is
-   a dead branch.  Once sat is set, viable is canonicalized to 0 so
-   states that differ only in doomed clause bookkeeping merge. *)
+(* Sort the (family id, hit mask) pairs of a.(lo .. hi - 1) and drop
+   duplicates in place; returns the number of distinct pairs.  A segment
+   holds at most one pair per branch of its class, so insertion sort. *)
+let sort_pairs a lo hi =
+  let n = (hi - lo) / 2 in
+  if n <= 1 then n
+  else begin
+    for i = 1 to n - 1 do
+      let f = a.(lo + (2 * i)) and h = a.(lo + (2 * i) + 1) in
+      let j = ref (lo + (2 * (i - 1))) in
+      while !j >= lo && (a.(!j) > f || (a.(!j) = f && a.(!j + 1) > h)) do
+        a.(!j + 2) <- a.(!j);
+        a.(!j + 3) <- a.(!j + 1);
+        j := !j - 2
+      done;
+      a.(!j + 2) <- f;
+      a.(!j + 3) <- h
+    done;
+    let k = ref 1 in
+    for i = 1 to n - 1 do
+      let f = a.(lo + (2 * i)) and h = a.(lo + (2 * i) + 1) in
+      let last = lo + (2 * (!k - 1)) in
+      if f <> a.(last) || h <> a.(last + 1) then begin
+        a.(last + 2) <- f;
+        a.(last + 3) <- h;
+        incr k
+      end
+    done;
+    !k
+  end
 
 let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
     ?(cache = true) ?memos ?spill_dir p =
   Events.with_span "comp_kernel.run" (fun () ->
       Metrics.incr elim_dispatch;
       Metrics.set elim_width_gauge (float_of_int p.width);
+      Metrics.set clause_width_gauge (float_of_int p.cwidth);
       if p.nshared > 0 then Metrics.incr cond_branches ~by:p.nbranches;
       let nb = p.nbranches in
       (* Family store: canonical antichains of free-fact-slot masks,
@@ -653,12 +737,21 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
         let rec go i = if used.(i) then go (i + 1) else (used.(i) <- true; i) in
         go 0
       in
-      let key_len = 2 + (2 * nb) in
-      let init_key = Array.make key_len 0 in
-      init_key.(1) <- (if p.init_sat then 1 else 0);
-      for b = 0 to nb - 1 do
-        init_key.((2 * b) + 2) <- fam0
-      done;
+      (* State key layout: [0] viable clause-slot mask, [1] sat flag,
+         then per branch class of the step's partition the live
+         sub-states of its branches as sorted, duplicate-free (family id,
+         hit mask) pairs.  Each class's list is preceded by its pair
+         count, except the last, whose length the key's gives — so a
+         one-branch (Codd) plan keys [viable; sat; family; hit].  A dead
+         branch drops out; a state with no live branch is not kept.  Once
+         sat is set, viable is canonicalized to 0 so states that differ
+         only in doomed clause bookkeeping merge. *)
+      let init_key =
+        Array.concat
+          ([| 0; (if p.init_sat then 1 else 0) |]
+          :: List.init p.nclasses (fun c ->
+                 if c < p.nclasses - 1 then [| 1; fam0; 0 |] else [| fam0; 0 |]))
+      in
       let keys = ref [| init_key |] in
       let counts = ref (Mem [| Nat.one |]) in
       let release_counts () =
@@ -667,6 +760,11 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
       let get_count i =
         match !counts with Mem a -> a.(i) | Stored f -> Factor_store.get f i
       in
+      (* Scratch: [base] is the current state after window entries,
+         [out] a child under construction (at most one pair and one count
+         per branch, so 2 + 3·nb ints), and the base's class segments. *)
+      let base = Array.make (2 + (3 * nb)) 0 and out = Array.make (2 + (3 * nb)) 0 in
+      let seg_off = Array.make nb 0 and seg_len = Array.make nb 0 in
       let step i =
         let s = p.steps.(i) in
         let entry_slots =
@@ -690,20 +788,15 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
             (fun acc c -> acc lor (1 lsl clause_slot.(c)))
             0 s.kill_clauses
         in
-        let pm = Array.make nb 0 in
-        Array.iter
-          (fun (f, brs) ->
-            let bit = 1 lsl fact_slot.(f) in
-            match brs with
-            | None ->
-              for b = 0 to nb - 1 do
-                pm.(b) <- pm.(b) lor bit
-              done
-            | Some arr -> Array.iter (fun b -> pm.(b) <- pm.(b) lor bit) arr)
-          s.producers;
+        let pm =
+          Array.map
+            (Array.fold_left (fun acc f -> acc lor (1 lsl fact_slot.(f))) 0)
+            s.producers
+        in
         let exit_slots = Array.map (fun f -> fact_slot.(f)) s.exit_facts in
         let cexit_slots = Array.map (fun c -> clause_slot.(c)) s.exit_clauses in
-        let next_tbl = IntArrH.create 256 in
+        let ncls = Array.length s.producers and nout = Array.length s.groups in
+        let next_tbl = IntArrH.create (max 16 (2 * Array.length !keys)) in
         let next_keys : int array vec = vec_create () in
         let next_counts : Nat.t vec = vec_create () in
         let emit key cnt =
@@ -714,79 +807,94 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
             vec_push next_keys key;
             vec_push next_counts cnt
         in
-        (* Apply window exits to a child key (owned, mutable), then emit
-           unless every branch died. *)
-        let finish key cnt =
-          Array.iter
-            (fun sl ->
-              let bit = 1 lsl sl in
-              for b = 0 to nb - 1 do
-                let fi = 2 + (2 * b) in
-                let hi = fi + 1 in
-                if key.(fi) >= 0 then
-                  if key.(hi) land bit = 0 then begin
-                    (* star violated: the fact's image misses the subset *)
-                    key.(fi) <- -1;
-                    key.(hi) <- 0
+        (* One child of [base]: the bit included (each class matches it
+           to a free producer) or excluded, then the window exits, with
+           the surviving sub-states regrouped by the classes after this
+           bit; emitted unless every branch died. *)
+        let child inc viable cnt =
+          out.(0) <- viable;
+          out.(1) <- base.(1);
+          let w = ref 2 and alive = ref false in
+          for t = 0 to nout - 1 do
+            let lenpos = !w in
+            if t < nout - 1 then incr w;
+            let start = !w in
+            let srcs = s.groups.(t) in
+            for g = 0 to Array.length srcs - 1 do
+              let c = srcs.(g) in
+              let pmc = pm.(c) in
+              if (not inc) || pmc <> 0 then
+                for j = 0 to seg_len.(c) - 1 do
+                  let fi = seg_off.(c) + (2 * j) in
+                  let fam = ref (if inc then fam_include base.(fi) pmc else base.(fi)) in
+                  let hit = ref (base.(fi + 1) lor if inc then pmc else 0) in
+                  let e = ref 0 in
+                  while !fam >= 0 && !e < Array.length exit_slots do
+                    let sl = exit_slots.(!e) in
+                    let bit = 1 lsl sl in
+                    if !hit land bit = 0 then
+                      (* star violated: the fact's image misses the subset *)
+                      fam := -1
+                    else begin
+                      hit := !hit land lnot bit;
+                      fam := fam_project !fam sl
+                    end;
+                    incr e
+                  done;
+                  if !fam >= 0 then begin
+                    out.(!w) <- !fam;
+                    out.(!w + 1) <- !hit;
+                    w := !w + 2
                   end
-                  else begin
-                    key.(hi) <- key.(hi) land lnot bit;
-                    key.(fi) <- fam_project key.(fi) sl
-                  end
-              done)
-            exit_slots;
-          let alive = ref false in
-          for b = 0 to nb - 1 do
-            if key.(2 + (2 * b)) >= 0 then alive := true
+                done
+            done;
+            let n = sort_pairs out start !w in
+            w := start + (2 * n);
+            if t < nout - 1 then out.(lenpos) <- n;
+            if n > 0 then alive := true
           done;
           if !alive then begin
             Array.iter
               (fun sl ->
                 let bit = 1 lsl sl in
-                if key.(0) land bit <> 0 then key.(1) <- 1;
-                key.(0) <- key.(0) land lnot bit)
+                if out.(0) land bit <> 0 then out.(1) <- 1;
+                out.(0) <- out.(0) land lnot bit)
               cexit_slots;
-            if key.(1) = 1 then key.(0) <- 0;
-            emit key cnt
+            if out.(1) = 1 then out.(0) <- 0;
+            emit (Array.sub out 0 !w) cnt
           end
         in
         let cur = !keys in
         for si = 0 to Array.length cur - 1 do
-          let cnt = get_count si in
-          let base = Array.copy cur.(si) in
-          Array.iter
-            (fun sl ->
-              for b = 0 to nb - 1 do
-                let fi = 2 + (2 * b) in
-                if base.(fi) >= 0 then base.(fi) <- fam_entry base.(fi) sl
-              done)
-            entry_slots;
-          if base.(1) = 0 then base.(0) <- base.(0) lor cl_entry;
-          (* exclude the bit: clauses containing it die *)
-          let ex = Array.copy base in
-          ex.(0) <- ex.(0) land lnot kill;
-          finish ex cnt;
-          (* include the bit: each branch matches it to a free producer *)
-          let inc = Array.copy base in
-          let any = ref false in
-          for b = 0 to nb - 1 do
-            let fi = 2 + (2 * b) in
-            let hi = fi + 1 in
-            if inc.(fi) >= 0 then begin
-              let pmb = pm.(b) in
-              let fid = if pmb = 0 then -1 else fam_include inc.(fi) pmb in
-              if fid < 0 then begin
-                inc.(fi) <- -1;
-                inc.(hi) <- 0
-              end
+          let k = cur.(si) in
+          let kl = Array.length k in
+          Array.blit k 0 base 0 kl;
+          (* Locate the class segments; an entering window joins every
+             sub-state's free sets. *)
+          let q = ref 2 in
+          for c = 0 to ncls - 1 do
+            let n =
+              if c = ncls - 1 then (kl - !q) / 2
               else begin
-                inc.(fi) <- fid;
-                inc.(hi) <- inc.(hi) lor pmb;
-                any := true
+                incr q;
+                base.(!q - 1)
               end
-            end
+            in
+            seg_off.(c) <- !q;
+            seg_len.(c) <- n;
+            for j = 0 to n - 1 do
+              let fi = !q + (2 * j) in
+              for e = 0 to Array.length entry_slots - 1 do
+                base.(fi) <- fam_entry base.(fi) entry_slots.(e)
+              done
+            done;
+            q := !q + (2 * n)
           done;
-          if !any then finish inc cnt
+          if base.(1) = 0 then base.(0) <- base.(0) lor cl_entry;
+          let cnt = get_count si in
+          (* exclude the bit: clauses containing it die *)
+          child false (base.(0) land lnot kill) cnt;
+          child true base.(0) cnt
         done;
         Array.iter
           (fun f ->
@@ -848,18 +956,14 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
                 Metrics.incr elim_spilled
             end
           done;
-          (* Accept: some branch alive (the subset is a completion of at
-             least one shared assignment — counted once), and the clause
-             verdict matches the query's polarity. *)
+          (* Accept: every kept state has a live branch (the subset is
+             a completion of at least one shared assignment — counted
+             once); the clause verdict must match the query's polarity. *)
           let total = ref Nat.zero in
           Array.iteri
             (fun si key ->
-              let alive = ref false in
-              for b = 0 to nb - 1 do
-                if key.(2 + (2 * b)) >= 0 then alive := true
-              done;
-              let sat_ok = p.sat_all || (key.(1) = 1) <> p.negated in
-              if !alive && sat_ok then total := Nat.add !total (get_count si))
+              if p.sat_all || (key.(1) = 1) <> p.negated then
+                total := Nat.add !total (get_count si))
             !keys;
           !total))
 

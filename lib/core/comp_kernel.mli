@@ -17,21 +17,28 @@
       transversal matroid of the candidate-fact bipartite graph — the
       Lemma B.2 matching condition, generalized off the Codd diagonal).
 
-    The kernel sweeps the candidate bits in a {!Treedec}-derived order
-    and counts the accepted subsets by DP.  Per conditioning branch the
-    separator state is (i) the {e antichain of achievable free-fact
-    sets} over the facts whose image windows are currently open — the
-    exact information needed to extend a partial matching — and (ii) a
+    The kernel sweeps the candidate bits one at a time and counts the
+    accepted subsets by DP.  Its state lives on the {e open windows}:
+    fact images and lineage clauses with some bits swept and some not.
+    Per conditioning branch that state is (i) the {e antichain of
+    achievable free-fact sets} over the open fact windows — the exact
+    information needed to extend a partial matching — and (ii) a
     {e hit} mask recording which open facts already intersect the chosen
     prefix.  Clause satisfaction of the compiled {!Lineage} DNF is
-    tracked the same way with per-clause viability bits.
+    tracked the same way with per-clause viability bits.  The sweep
+    order keeps few windows open: it finishes the open window with the
+    fewest unswept bits first, taking the bit that opens the fewest new
+    windows net of those it closes.
 
     Non-Codd tables are handled by conditioning on the shared nulls, but
     the branches are {e not} summed — distinct shared assignments can
     produce the same completion — instead all branches run jointly in
-    one sweep (the state maps each branch to a sub-state) and a subset
-    is accepted when at least one branch stays alive, so each completion
-    is counted exactly once.
+    one sweep and a subset is accepted when at least one branch stays
+    alive, so each completion is counted exactly once.  Branches whose
+    producing facts agree on every remaining bit have the same future,
+    so the state keeps one set of sub-states per such class of branches
+    (dead branches drop out, equal sub-states merge) rather than one
+    sub-state per branch.
 
     The DP is sequential and fully deterministic: counts and the
     [comp_kernel.elim_*] counters are invariant across the dispatcher's
@@ -79,9 +86,10 @@ val default_max_states : int
     through {!Factor_store} (the [--comp-max-cells] default). *)
 val default_max_cells : int
 
-(** A compiled instance: universe, conditioning branches, per-branch
-    fact images scattered over a tree-decomposition sweep order, window
-    entry/exit schedule, compiled clause windows. *)
+(** A compiled instance: universe, conditioning branches, the sweep
+    order with its window entry/exit schedule, the producing facts of
+    each bit per class of interchangeable branches, compiled clause
+    windows. *)
 type plan
 
 (** Number of candidate bits (distinct ground facts over all branches). *)
@@ -93,14 +101,16 @@ val plan_branches : plan -> int
 (** Maximum number of fact windows open at once in the sweep. *)
 val plan_width : plan -> int
 
-(** Bags of the underlying tree decomposition ([0] on an empty table). *)
+(** Bags of the sweep: a bag ends after each bit that closes a window
+    ([0] on an empty table).  The [comp_kernel.bag] span and the spill
+    check run once per bag. *)
 val plan_bags : plan -> int
 
 (** [plan ?query ... db] compiles [db] (Codd or not) and the optional
     query into a sweep plan, or says why it will not.  Cheap relative to
     {!run}: grounding is capped by [max_universe] with early exit, the
     branch product bails at [max_branches], and width is computed from
-    the min-degree/tree-decomposition order before any DP state exists. *)
+    the window-closing sweep order before any DP state exists. *)
 val plan :
   ?query:Query.t ->
   ?width_bound:int ->
@@ -138,7 +148,9 @@ val memos_length : memos -> int
     branches and states; [memos] (when given) backs those tables with a
     caller-owned bundle that survives the run (see {!type-memos} — the
     incdbd warm-reuse hook); [max_cells] bounds the in-memory message at
-    bag boundaries before counts spill to disk under [spill_dir].
+    bag boundaries before counts spill to disk under [spill_dir].  Sets
+    the gauges [comp_kernel.elim_width] (most fact windows open at once)
+    and [comp_kernel.clause_width] (most clause windows open at once).
     @raise Infeasible ([Too_many_states]) if the frontier outgrows
     [max_states]. *)
 val run :

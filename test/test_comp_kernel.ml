@@ -131,6 +131,64 @@ let test_empty_table () =
   check_nat "empty completion fails R(x)" Nat.zero
     (Comp_kernel.count ~query:(Query.Bcq q) db)
 
+(* Unary R and S over one [d]-value domain (v0 .. v(d-1)): [shared]
+   nulls ?p<k> in both relations, then [free_r] nulls only in R and
+   [free_s] only in S, each over its own copy of the domain. *)
+let unary_rs ?(shared = 1) ~d ~free_r ~free_s () =
+  let dom = List.init d (fun i -> "v" ^ string_of_int i) in
+  let nulls prefix k = List.init k (Printf.sprintf "%s%d" prefix) in
+  let ps = nulls "p" shared and rs = nulls "r" free_r and ss = nulls "s" free_s in
+  let facts rel names = List.map (fun n -> Idb.fact rel [ Term.null n ]) names in
+  Idb.make
+    (facts "R" (ps @ rs) @ facts "S" (ps @ ss))
+    (Idb.Nonuniform (List.map (fun n -> (n, dom)) (ps @ rs @ ss)))
+
+let rs_query = Query.Bcq (Cq.make [ Cq.atom "R" [ "x" ]; Cq.atom "S" [ "x" ] ])
+
+(* Completions of R(x), S(x) when R takes at most [r] distinct values
+   and S at most [s], out of [d]: an R-set of size i and an S-set of
+   size j that meet, sum_{i<=r} sum_{j<=s} C(d,i)·(C(d,j) - C(d-i,j)).
+   With one shared null the R- and S-sets must meet anyway (at ?p), so
+   [r] = 1 + free_r and [s] = 1 + free_s count the shared tables too. *)
+let meeting_pairs ~d ~r ~s =
+  let c = Combinat.binomial in
+  Nat.sum
+    (List.concat_map
+       (fun i ->
+         List.init (s + 1) (fun j -> Nat.mul (c d i) (Nat.sub (c d j) (c (d - i) j))))
+       (List.init (r + 1) Fun.id))
+
+(* The shared null on either side of the free nulls: one free R-null
+   and two free S-nulls, then the mirror.  A sweep that takes one
+   relation before the other is cheap in one orientation only. *)
+let test_shared_either_side () =
+  let expected = meeting_pairs ~d:12 ~r:2 ~s:3 in
+  check_nat "closed form" (Nat.of_int 8922) expected;
+  List.iter
+    (fun (free_r, free_s) ->
+      let db = unary_rs ~d:12 ~free_r ~free_s () in
+      let label = Printf.sprintf "free R %d, free S %d" free_r free_s in
+      check_nat (label ^ ": brute force") expected (Brute.count_completions rs_query db);
+      check_nat (label ^ ": kernel") expected (Comp_kernel.count ~query:rs_query db))
+    [ (1, 2); (2, 1) ]
+
+(* The sweep closes windows as it goes: a shared-null frontier holds
+   hundreds of pooled states, not one per subset of open clauses, and a
+   Codd frontier does not grow with the domain. *)
+let test_frontier_small () =
+  let states db =
+    let n, deltas = with_elim_deltas (fun () -> Comp_kernel.count ~query:rs_query db) in
+    (n, List.assoc "comp_kernel.elim_states" deltas)
+  in
+  let n, st = states (unary_rs ~d:30 ~free_r:1 ~free_s:2 ()) in
+  check_nat "shared d=30" (Nat.of_int 379785) n;
+  check_nat "shared d=30 closed form" (meeting_pairs ~d:30 ~r:2 ~s:3) n;
+  if st > 5_000 then Alcotest.failf "shared d=30 swept %d states (at most 5000)" st;
+  let n, st = states (unary_rs ~shared:0 ~d:30 ~free_r:4 ~free_s:4 ()) in
+  check_nat "Codd 4+4 d=30" (Nat.of_int 432941320) n;
+  check_nat "Codd 4+4 d=30 closed form" (meeting_pairs ~d:30 ~r:4 ~s:4) n;
+  if st > 10_000 then Alcotest.failf "Codd 4+4 d=30 swept %d states (at most 10000)" st
+
 (* ------------------------------------------------------------------ *)
 (* Typed limits                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -317,6 +375,56 @@ let prop_config_invariance =
             (4, Comp_candidates.Int_masks, false);
           ])
 
+(* Unary pairs whose R and S share 1-2 nulls, plus 0-2 free nulls and
+   0-2 constants per relation, every domain 1-5 values out of 6: forced
+   elimination against brute-force dedup, with and without R(x), S(x),
+   and the count unchanged when R and S swap names. *)
+let shared_pair_table ~seed ~swap =
+  let st = Random.State.make [| seed |] in
+  let pool = Array.init 6 (fun i -> "v" ^ string_of_int i) in
+  let pick () =
+    let k = 1 + Random.State.int st 5 in
+    let a = Array.copy pool in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list (Array.sub a 0 k)
+  in
+  let nulls prefix k = List.init k (fun i -> Printf.sprintf "%s%d" prefix i) in
+  let ps = nulls "p" (1 + Random.State.int st 2) in
+  let rs = nulls "r" (Random.State.int st 3) and ss = nulls "s" (Random.State.int st 3) in
+  let cr = List.init (Random.State.int st 3) (fun _ -> pool.(Random.State.int st 6)) in
+  let cs = List.init (Random.State.int st 3) (fun _ -> pool.(Random.State.int st 6)) in
+  let doms = List.map (fun n -> (n, pick ())) (ps @ rs @ ss) in
+  let r, s = if swap then ("S", "R") else ("R", "S") in
+  let facts rel names consts =
+    List.map (fun n -> Idb.fact rel [ Term.null n ]) names
+    @ List.map (fun c -> Idb.fact rel [ Term.const c ]) consts
+  in
+  Idb.make (facts r (ps @ rs) cr @ facts s (ps @ ss) cs) (Idb.Nonuniform doms)
+
+let prop_shared_pairs =
+  QCheck.Test.make ~count:150 ~name:"comp_kernel shared-null unary pairs = brute dedup"
+    QCheck.(pair small_int bool)
+    (fun (seed, with_query) ->
+      let db = shared_pair_table ~seed ~swap:false in
+      let mirror = shared_pair_table ~seed ~swap:true in
+      let forced db =
+        if with_query then
+          snd (Count_comp.count ~comp_elim:Comp_kernel.Force
+                 (Cq.make [ Cq.atom "R" [ "x" ]; Cq.atom "S" [ "x" ] ]) db)
+        else snd (Count_comp.count_all ~comp_elim:Comp_kernel.Force db)
+      in
+      let brute =
+        if with_query then Brute.count_completions rs_query db
+        else Brute.count_all_completions db
+      in
+      let n = forced db in
+      Nat.equal n brute && Nat.equal n (forced mirror))
+
 let () =
   Alcotest.run "comp_kernel"
     [
@@ -330,6 +438,9 @@ let () =
           Alcotest.test_case "non-codd diagonal" `Quick test_noncodd_diagonal;
           Alcotest.test_case "query figure1" `Quick test_query_figure1;
           Alcotest.test_case "empty table" `Quick test_empty_table;
+          Alcotest.test_case "shared null on either side" `Quick
+            test_shared_either_side;
+          Alcotest.test_case "frontier stays small" `Quick test_frontier_small;
         ] );
       ( "limits",
         [
@@ -344,5 +455,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_vs_brute_query;
           QCheck_alcotest.to_alcotest prop_kernel_vs_enumerator;
           QCheck_alcotest.to_alcotest prop_config_invariance;
+          QCheck_alcotest.to_alcotest prop_shared_pairs;
         ] );
     ]
