@@ -1,4 +1,4 @@
-(* Bitset completion-kernel measurements (PR 3).
+(* Completion-kernel measurements.
 
    Three claims, each measured and written to BENCH_COMP.json (override
    with INCDB_BENCH_COMP_OUT):
@@ -7,7 +7,7 @@
      enumerator (kept as [Comp_candidates.count_reference]) by a wide
      margin — the seed materializes one [Cdb.t] per subset of the
      ground-fact universe, the kernel walks a pruned prefix tree of
-     masks;
+     candidate sets;
 
    - the kernel completes a 26-candidate instance the seed refuses
      (its ceiling was [max_candidates = 22]);
@@ -141,7 +141,7 @@ let query_row ?(d = 20) ?(n = 10) () =
     \      \"speedup_vs_seed\": %.3f, \"clauses_compiled\": %d }"
     d (Nat.to_string n_kernel) t_kernel t_seed (t_seed /. t_kernel) clauses
 
-(* Past one mask word (PR 6): the multi-word kernel at [d] candidates,
+(* Past one machine word of candidates: the walk at [d] candidates,
    [n] nulls.  Totals must be bit-identical at every job level, equal
    the closed form C(d,1) + ... + C(d,n), and — whenever the valuation
    space is small enough — equal the brute-force parallel enumerator,
@@ -168,12 +168,11 @@ let wide_row ?(d = 63) ?(n = 3) () =
     assert (Nat.equal n1 nb);
     true
   in
-  let words = Incdb_bignum.Bitset.words_for d in
   Printf.printf
-    "  wide kernel (%d candidates, %d-word masks): %s  count %s \
+    "  walk past one word (%d candidates): %s  count %s \
      (closed form%s; totals identical at all job levels)\n\
      %!"
-    d words
+    d
     (String.concat "  "
        (List.map
           (fun (j, _, t) -> Printf.sprintf "jobs=%d %.3fs" j t)
@@ -189,74 +188,58 @@ let wide_row ?(d = 63) ?(n = 3) () =
   Printf.sprintf
     "    { \"section\": \"comp_kernel:wide-%d-candidates-%d-nulls\", \
      \"result\": %S,\n\
-    \      \"mask_words\": %d, \"brute_verified\": %b, \
-     \"totals_bit_identical\": true,\n\
+    \      \"brute_verified\": %b, \"totals_bit_identical\": true,\n\
     \      \"times\": [ %s ] }"
-    d n (Nat.to_string n1) words brute_verified
+    d n (Nat.to_string n1) brute_verified
     (String.concat ", " cells)
 
-(* Fast-path preservation: the same sub-ceiling instance counted with
-   both representations.  The wide kernel pays array masks and per-node
-   scratch mutation; the ratio is the cost of forcing it where the
-   single-word kernel suffices — the dispatcher never does. *)
-let repr_row ?(d = 40) ?(n = 5) () =
+(* The walk on a 40-candidate instance with 5 nulls, where pruning
+   leaves about a million leaves to check: the enumerator's cost per
+   visited candidate set, with no seed leg to wait for. *)
+let walk_row ?(d = 40) ?(n = 5) () =
   let db = Instances.one_unary ~d ~n ~c:0 in
-  let n_int, t_int =
-    Instances.time (fun () ->
-        Comp_candidates.count ~mask:Comp_candidates.Int_masks ~jobs:1 db)
-  in
-  let n_wide, t_wide =
-    Instances.time (fun () ->
-        Comp_candidates.count ~mask:Comp_candidates.Wide_masks ~jobs:1 db)
-  in
-  assert (Nat.equal n_int n_wide);
-  Printf.printf
-    "  int vs forced-wide (%d candidates): int %.3fs  wide %.3fs  (wide/int \
-     %.2fx)\n\
-     %!"
-    d t_int t_wide (t_wide /. t_int);
+  let nn, t = Instances.time (fun () -> Comp_candidates.count ~jobs:1 db) in
+  assert (
+    Nat.equal nn
+      (Nat.sum (List.map (fun k -> Combinat.binomial d k) (List.init n succ))));
+  Printf.printf "  walk (%d candidates, %d nulls): %.3fs  count %s\n%!" d n t
+    (Nat.to_string nn);
   Printf.sprintf
-    "    { \"section\": \"comp_kernel:repr-%d-candidates-int-vs-wide\", \
+    "    { \"section\": \"comp_kernel:walk-%d-candidates-%d-nulls\", \
      \"result\": %S,\n\
-    \      \"int_seconds\": %.6f, \"wide_seconds\": %.6f,\n\
-    \      \"wide_over_int\": %.3f }"
-    d (Nat.to_string n_int) t_int t_wide (t_wide /. t_int)
+    \      \"kernel_seconds\": %.6f }"
+    d n (Nat.to_string nn) t
 
 (* The elimination kernel past the enumeration sweet spot (PR 9): [d]
    candidates is beyond the enumerator's default 80-candidate ceiling,
    where its 2^d mask space has outgrown prefix pruning — the DP sweep
    counts the same completions in milliseconds.  The enumerator leg is
    forced with [~max_candidates:d]; the kernel leg runs through the
-   dispatcher under every jobs x mask x cache combination and must be
+   dispatcher under every jobs x cache combination and must be
    bit-identical (the totals also equal the closed form
    C(d,1)+...+C(d,n) and, when feasible, the brute-force dedup). *)
 let elim_configs =
-  List.concat_map
-    (fun jobs ->
-      List.concat_map
-        (fun mask -> [ (jobs, mask, true); (jobs, mask, false) ])
-        [ Comp_candidates.Int_masks; Comp_candidates.Wide_masks ])
-    job_levels
+  List.concat_map (fun jobs -> [ (jobs, true); (jobs, false) ]) job_levels
 
 let sweep_configs db =
   let results =
     List.map
-      (fun (jobs, mask, cache) ->
+      (fun (jobs, cache) ->
         let (algo, nn), t =
           Instances.time (fun () ->
-              Count_comp.count_all ~comp_elim:Comp_kernel.Force ~jobs ~mask
+              Count_comp.count_all ~comp_elim:Comp_kernel.Force ~jobs
                 ~comp_cache:cache db)
         in
         assert (algo = Count_comp.Lineage_elimination);
-        (jobs, mask, cache, nn, t))
+        (jobs, cache, nn, t))
       elim_configs
   in
-  let _, _, _, n1, _ = List.hd results in
-  assert (List.for_all (fun (_, _, _, nn, _) -> Nat.equal nn n1) results);
+  let _, _, n1, _ = List.hd results in
+  assert (List.for_all (fun (_, _, nn, _) -> Nat.equal nn n1) results);
   let times =
     List.filter_map
-      (fun (jobs, mask, cache, _, t) ->
-        if mask = Comp_candidates.Int_masks && cache then
+      (fun (jobs, cache, _, t) ->
+        if cache then
           Some (Printf.sprintf "{ \"jobs\": %d, \"seconds\": %.6f }" jobs t)
         else None)
       results
@@ -304,8 +287,8 @@ let elim_row ?(d = 120) ?(n = 3) () =
   in
   Printf.printf
     "  elimination past the enumeration ceiling (%d candidates): kernel \
-     %.3fs  enumerator %.3fs  (%.0fx%s; bit-identical over %d jobs x mask \
-     x cache configs)\n\
+     %.3fs  enumerator %.3fs  (%.0fx%s; bit-identical over %d jobs x cache \
+     configs)\n\
      %!"
     d t_kernel t_enum (t_enum /. t_kernel)
     (if brute_verified then ", Brute_par verified" else "")
@@ -438,7 +421,7 @@ let write_sections rows =
   Printf.printf "  completion-kernel data written to %s\n%!" path
 
 let run () =
-  Printf.printf "\n=== Completion kernel (bitset candidate enumeration) ===\n";
+  Printf.printf "\n=== Completion kernel (candidate walk) ===\n";
   Printf.printf "  host cores (recommended domain count): %d\n%!"
     (Incdb_par.Pool.recommended ());
   let r1 = ceiling_row () in
@@ -446,7 +429,7 @@ let run () =
   let r3 = query_row () in
   let r4 = wide_row ~d:63 ~n:3 () in
   let r5 = wide_row ~d:80 ~n:3 () in
-  let r6 = repr_row () in
+  let r6 = walk_row () in
   let r7 = elim_row () in
   let r8 = noncodd_row () in
   let r9 = shared_query_row () in
@@ -456,8 +439,8 @@ let run () =
 (* Kernel-only sections for the @bench-compare regression gate: skips
    the seed enumerator legs (the 22-candidate seed run alone costs
    minutes), keeping the rows whose timings the gate tracks — the
-   26-candidate single-word kernel, both wide rows, and the
-   representation-overhead row. *)
+   26-candidate walk at every job level, both rows past one machine
+   word, and the 40-candidate walk. *)
 let run_gate () =
   Printf.printf "\n=== Completion kernel (regression-gate sections) ===\n";
   Printf.printf "  host cores (recommended domain count): %d\n%!"
@@ -465,7 +448,7 @@ let run_gate () =
   let r1 = beyond_row () in
   let r2 = wide_row ~d:63 ~n:3 () in
   let r3 = wide_row ~d:80 ~n:3 () in
-  let r4 = repr_row () in
+  let r4 = walk_row () in
   let r5 = elim_row () in
   let r6 = noncodd_row () in
   let r7 = shared_query_row () in
@@ -475,8 +458,7 @@ let run_gate () =
 (* Tiny sizes for @bench-smoke.  The beyond-seed row has no tiny variant
    — the seed only refuses above its fixed 22-candidate ceiling — so the
    smoke run covers the ceiling and lineage paths, plus the smallest
-   instance that genuinely exercises multi-word masks (63 candidates is
-   the minimum by construction). *)
+   instance past one machine word of candidates (63). *)
 let smoke () =
   Printf.printf "\n=== Completion kernel (smoke) ===\n%!";
   let (_ : string) = ceiling_row ~d:10 ~n:4 () in

@@ -88,14 +88,14 @@ let masks_pruned = Metrics.counter "comp_kernel.masks_pruned"
 let subsets_checked = Metrics.counter "comp_kernel.subsets_checked"
 let shards_run = Metrics.counter "comp_kernel.shards_run"
 
-(* Which representation the last dispatch chose: the probed universe
-   size (= mask width in bits), and how often the wide path ran. *)
+(* The probed universe size of the last run: one bit per candidate in
+   the space the walk enumerates. *)
 let mask_width = Metrics.gauge "comp_kernel.mask_width"
-let wide_dispatch = Metrics.counter "comp_kernel.wide_dispatch"
 
 let default_max_candidates = 80
 
-type mask_choice = Auto | Int_masks | Wide_masks
+(* Ignored; see the interface for why it stays. *)
+type mask_choice = Auto
 
 (* How the query is decided at an enumeration leaf. *)
 type sat_mode =
@@ -104,179 +104,101 @@ type sat_mode =
   | Opaque of Query.t (* uncompilable: materialize and evaluate *)
 
 (* ------------------------------------------------------------------ *)
-(* One shard: recursive-prefix enumeration of the masks extending a     *)
-(* fixed high-bit prefix.                                               *)
+(* One shard: recursive-prefix walk over the candidate sets extending  *)
+(* a fixed choice of the highest bits.                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The enumeration maintains, incrementally along the prefix tree, for
-   the reachable set R = partial ∪ {undecided bits}:
-   - per table fact, |ground_mask ∩ R| — when it hits 0 the star check
+(* The walk decides bits from the highest down and maintains,
+   incrementally along the prefix tree, for the reachable set
+   R = included ∪ {undecided bits}:
+   - per table fact, |image ∩ R| — when it hits 0 the star check
      can never pass below this node (a completion must give every table
      fact a landing spot), killing the subtree;
    - per lineage clause, |clause \ R| — a clause is winnable iff 0;
      when no clause is winnable a positive query cannot hold below this
-     node, and at a leaf (R = partial) winnability IS satisfaction, so
+     node, and at a leaf (R = included) winnability IS satisfaction, so
      the DNF is never rescanned per subset;
-   - the included-bit count — a completion has at most [nd] facts
-     (distinct producers), so overfull branches die on entry.
+   - the included bits, on a stack — a completion has at most [nd]
+     facts (distinct producers), so overfull branches die on entry.
    Only bit *exclusions* shrink R, so each branch updates exactly the
    facts/clauses indexed by its bit. *)
 
 type shard_stats = {
   mutable checked : int;
-  mutable pruned : int;
+  mutable pruned : int; (* saturates at [max_int] *)
   mutable found : int;
 }
 
-let run_shard ~m ~shard_bits ~prefix ~kernel ~clauses ~sat_mode ~universe
-    ~facts_with_bit ~clauses_with_bit (stats : shard_stats) =
+let add_sat a b = if a > max_int - b then max_int else a + b
+
+(* A node killed at bit [i] prunes its 2^i leaves at once. *)
+let prune stats i =
+  stats.pruned <-
+    add_sat stats.pruned (if i >= Sys.int_size - 1 then max_int else 1 lsl i)
+
+let run_shard ~m ~shard_bits ~shard ~kernel ~clauses ~clauses_with_bit
+    ~sat_mode ~universe stats =
   let nd = Codd.kernel_size kernel in
-  let dmasks = Codd.kernel_masks kernel in
+  let producers = Codd.kernel_producers kernel in
   let free_bits = m - shard_bits in
-  let reach0 = prefix lor ((1 lsl free_bits) - 1) in
-  let reach = Array.map (fun dm -> Lineage.popcount (dm land reach0)) dmasks in
-  let outside =
-    Array.map (fun c -> Lineage.popcount (c land lnot reach0)) clauses
-  in
-  let winnable = ref (Array.fold_left (fun n o -> n + if o = 0 then 1 else 0) 0 outside) in
+  (* R at the shard root: the free bits and the prefix bits [shard] sets. *)
+  let in_reach0 j = j < free_bits || (shard lsr (j - free_bits)) land 1 = 1 in
+  let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a in
+  let reach = Array.map (count in_reach0) (Codd.kernel_images kernel) in
+  let outside = Array.map (count (fun j -> not (in_reach0 j))) clauses in
+  let winnable = ref (count (fun o -> o = 0) outside) in
   let positive_dnf = match sat_mode with Dnf false -> true | _ -> false in
   let subtree_dead () =
     Array.exists (fun r -> r = 0) reach || (positive_dnf && !winnable = 0)
   in
-  let leaf_sat partial =
-    match sat_mode with
-    | All -> true
-    | Dnf negated -> !winnable > 0 <> negated
-    | Opaque q ->
-      let rec facts i acc =
-        if i = m then acc
-        else
-          facts (i + 1)
-            (if partial land (1 lsl i) <> 0 then universe.(i) :: acc else acc)
-      in
-      Query.eval q (Cdb.of_list (facts 0 []))
-  in
-  if subtree_dead () then begin
-    stats.pruned <- stats.pruned + (1 lsl free_bits);
-    0
-  end
-  else begin
-    let rec go i partial included =
-      if i < 0 then begin
-        stats.checked <- stats.checked + 1;
-        if leaf_sat partial && Codd.kernel_saturates kernel partial then
-          stats.found <- stats.found + 1
-      end
-      else begin
-        (* Include bit i: R is unchanged, only the cardinality grows. *)
-        if included + 1 <= nd then
-          go (i - 1) (partial lor (1 lsl i)) (included + 1)
-        else stats.pruned <- stats.pruned + (1 lsl i);
-        (* Exclude bit i: R shrinks by bit i. *)
-        Array.iter (fun f -> reach.(f) <- reach.(f) - 1) facts_with_bit.(i);
-        Array.iter
-          (fun c ->
-            if outside.(c) = 0 then decr winnable;
-            outside.(c) <- outside.(c) + 1)
-          clauses_with_bit.(i);
-        if subtree_dead () then stats.pruned <- stats.pruned + (1 lsl i)
-        else go (i - 1) partial included;
-        Array.iter (fun f -> reach.(f) <- reach.(f) + 1) facts_with_bit.(i);
-        Array.iter
-          (fun c ->
-            outside.(c) <- outside.(c) - 1;
-            if outside.(c) = 0 then incr winnable)
-          clauses_with_bit.(i)
-      end
-    in
-    go (free_bits - 1) prefix (Lineage.popcount prefix);
-    stats.found
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The same shard over multi-word masks                                 *)
-(* ------------------------------------------------------------------ *)
-
-module WB = Bitset.Wide
-
-(* Identical prefix-tree walk, with two representation changes: the
-   [partial] mask is a single worker-private scratch array mutated along
-   the walk (set bit / recurse / clear bit) instead of a value threaded
-   through the recursion, and the bulk pruned-leaf count is a [Nat] —
-   [2^i] leaves at a killed node no longer fits an int once [i] can
-   exceed the word size. *)
-type wide_stats = {
-  mutable wchecked : int;
-  mutable wpruned : Nat.t;
-  mutable wfound : int;
-}
-
-let prune_wide stats i =
-  stats.wpruned <- Nat.add stats.wpruned (Nat.pow Nat.two i)
-
-let run_shard_wide ~m ~shard_bits ~prefix ~kernel ~clauses ~sat_mode ~universe
-    ~facts_with_bit ~clauses_with_bit (stats : wide_stats) =
-  let nd = Codd.Wide.size kernel in
-  let dmasks = Codd.Wide.masks kernel in
-  let free_bits = m - shard_bits in
-  let reach0 = WB.union prefix (WB.low ~width:m free_bits) in
-  let reach = Array.map (fun dm -> WB.popcount_inter dm reach0) dmasks in
-  let outside = Array.map (fun c -> WB.popcount_diff c reach0) clauses in
-  let winnable =
-    ref (Array.fold_left (fun n o -> n + if o = 0 then 1 else 0) 0 outside)
-  in
-  let positive_dnf = match sat_mode with Dnf false -> true | _ -> false in
-  let subtree_dead () =
-    Array.exists (fun r -> r = 0) reach || (positive_dnf && !winnable = 0)
-  in
-  let partial = WB.copy prefix in
+  (* Included bits, highest first: the prefix, then the walk's own. *)
+  let stack = Array.make m 0 and depth = ref 0 in
+  for j = shard_bits - 1 downto 0 do
+    if (shard lsr j) land 1 = 1 then begin
+      stack.(!depth) <- free_bits + j;
+      incr depth
+    end
+  done;
   let leaf_sat () =
     match sat_mode with
     | All -> true
     | Dnf negated -> !winnable > 0 <> negated
     | Opaque q ->
-      let rec facts i acc =
-        if i = m then acc
-        else facts (i + 1) (if WB.test partial i then universe.(i) :: acc else acc)
-      in
-      Query.eval q (Cdb.of_list (facts 0 []))
+      Query.eval q
+        (Cdb.of_list (List.init !depth (fun k -> universe.(stack.(k)))))
   in
-  if subtree_dead () then begin
-    prune_wide stats free_bits;
-    0
-  end
-  else begin
-    let rec go i included =
-      if i < 0 then begin
-        stats.wchecked <- stats.wchecked + 1;
-        if leaf_sat () && Codd.Wide.saturates kernel partial then
-          stats.wfound <- stats.wfound + 1
+  let rec go i =
+    if i < 0 then begin
+      stats.checked <- stats.checked + 1;
+      if leaf_sat () && Codd.kernel_saturates kernel stack ~len:!depth then
+        stats.found <- stats.found + 1
+    end
+    else begin
+      (* Include bit i: R is unchanged, only the cardinality grows. *)
+      if !depth < nd then begin
+        stack.(!depth) <- i;
+        incr depth;
+        go (i - 1);
+        decr depth
       end
-      else begin
-        if included + 1 <= nd then begin
-          WB.set_inplace partial i;
-          go (i - 1) (included + 1);
-          WB.clear_inplace partial i
-        end
-        else prune_wide stats i;
-        Array.iter (fun f -> reach.(f) <- reach.(f) - 1) facts_with_bit.(i);
-        Array.iter
-          (fun c ->
-            if outside.(c) = 0 then decr winnable;
-            outside.(c) <- outside.(c) + 1)
-          clauses_with_bit.(i);
-        if subtree_dead () then prune_wide stats i else go (i - 1) included;
-        Array.iter (fun f -> reach.(f) <- reach.(f) + 1) facts_with_bit.(i);
-        Array.iter
-          (fun c ->
-            outside.(c) <- outside.(c) - 1;
-            if outside.(c) = 0 then incr winnable)
-          clauses_with_bit.(i)
-      end
-    in
-    go (free_bits - 1) (WB.popcount prefix);
-    stats.wfound
-  end
+      else prune stats i;
+      (* Exclude bit i: R shrinks by bit i. *)
+      Array.iter (fun f -> reach.(f) <- reach.(f) - 1) producers.(i);
+      Array.iter
+        (fun c ->
+          if outside.(c) = 0 then decr winnable;
+          outside.(c) <- outside.(c) + 1)
+        clauses_with_bit.(i);
+      if subtree_dead () then prune stats i else go (i - 1);
+      Array.iter (fun f -> reach.(f) <- reach.(f) + 1) producers.(i);
+      Array.iter
+        (fun c ->
+          outside.(c) <- outside.(c) - 1;
+          if outside.(c) = 0 then incr winnable)
+        clauses_with_bit.(i)
+    end
+  in
+  if subtree_dead () then prune stats free_bits else go (free_bits - 1)
 
 (* ------------------------------------------------------------------ *)
 (* The kernel driver                                                    *)
@@ -304,75 +226,8 @@ let shard_bits_for ?(pool = Incdb_par.Pool.recommended ()) m =
   in
   min m (min (max 6 (min 12 (m - 16))) cap)
 
-(* The wide driver: same sharding, same shard split (so the totals and
-   metric deltas stay jobs-invariant), masks [Bitset.Wide].  The bulk
-   pruned-leaf total is summed as a [Nat] across shards and exported
-   into the int [masks_pruned] counter with saturation — exact whenever
-   it fits a word (in particular on every universe the int path can also
-   run, which is what the int-vs-wide metric agreement tests pin). *)
-let count_wide ?query ~jobs ~universe ~m db =
-  let kernel0 = Codd.Wide.make db ~universe in
-  let sat_mode, clauses =
-    match query with
-    | None -> (All, [||])
-    | Some q -> (
-      match
-        Events.with_span "count_comp.lineage_compile" (fun () ->
-            Lineage.Wide.compile q universe)
-      with
-      | Some l -> (Dnf (Lineage.Wide.is_negated l), Lineage.Wide.clauses l)
-      | None -> (Opaque q, [||]))
-  in
-  Metrics.incr clauses_compiled ~by:(Array.length clauses);
-  let index_bits masks n =
-    Array.init m (fun j ->
-        let hits = ref [] in
-        for i = n - 1 downto 0 do
-          if WB.test masks.(i) j then hits := i :: !hits
-        done;
-        Array.of_list !hits)
-  in
-  let facts_with_bit =
-    index_bits (Codd.Wide.masks kernel0) (Codd.Wide.size kernel0)
-  in
-  let clauses_with_bit = index_bits clauses (Array.length clauses) in
-  let shard_bits = shard_bits_for m in
-  let nshards = 1 lsl shard_bits in
-  let wide_prefix s =
-    let p = ref (WB.zero ~width:m) in
-    for j = 0 to shard_bits - 1 do
-      if s land (1 lsl j) <> 0 then p := WB.set !p (m - shard_bits + j)
-    done;
-    !p
-  in
-  let tasks =
-    List.init nshards (fun s () ->
-        Metrics.incr shards_run;
-        let stats = { wchecked = 0; wpruned = Nat.zero; wfound = 0 } in
-        let found =
-          Events.with_span "comp_kernel.shard"
-            ~args:[ ("shard", Events.Int s) ]
-            (fun () ->
-              run_shard_wide ~m ~shard_bits ~prefix:(wide_prefix s)
-                ~kernel:(Codd.Wide.copy kernel0) ~clauses ~sat_mode ~universe
-                ~facts_with_bit ~clauses_with_bit stats)
-        in
-        Metrics.incr subsets_checked ~by:stats.wchecked;
-        Metrics.incr completions_checked ~by:stats.wchecked;
-        (found, stats.wpruned))
-  in
-  let per_shard = Incdb_par.Pool.run ~jobs tasks in
-  let pruned = Nat.sum (List.map snd per_shard) in
-  let pruned_int =
-    match Nat.to_int_opt pruned with
-    | Some p -> Stdlib.min p (max_int - Metrics.value masks_pruned)
-    | None -> max_int - Metrics.value masks_pruned
-  in
-  Metrics.incr masks_pruned ~by:pruned_int;
-  Nat.of_int (List.fold_left (fun acc (f, _) -> acc + f) 0 per_shard)
-
 let count ?query ?(max_candidates = default_max_candidates) ?(jobs = 1)
-    ?(mask = Auto) ?universe db =
+    ?mask:_ ?universe db =
   if not (Idb.is_codd db) then
     invalid_arg "Comp_candidates.count: requires a Codd table";
   let universe =
@@ -385,32 +240,12 @@ let count ?query ?(max_candidates = default_max_candidates) ?(jobs = 1)
           | None ->
             raise
               (Too_many_candidates
-                 {
-                   universe = List.length (candidate_facts db);
-                   limit = max_candidates;
-                 })))
+                 { universe = max_candidates + 1; limit = max_candidates })))
   in
   let m = Array.length universe in
   if m > max_candidates then
     raise (Too_many_candidates { universe = m; limit = max_candidates });
-  let wide =
-    match mask with
-    | Wide_masks -> true
-    | Auto -> m > Lineage.max_universe
-    | Int_masks ->
-      (* Forced int masks past one word cannot run: report the word
-         ceiling as the limit, like the pre-wide dispatcher did. *)
-      if m > Lineage.max_universe then
-        raise
-          (Too_many_candidates { universe = m; limit = Lineage.max_universe });
-      false
-  in
   Metrics.set mask_width (float_of_int m);
-  if wide then Metrics.incr wide_dispatch;
-  if wide then
-    Events.with_span "count_comp.mask_enumeration" (fun () ->
-        count_wide ?query ~jobs ~universe ~m db)
-  else
   Events.with_span "count_comp.mask_enumeration" (fun () ->
       let kernel0 = Codd.kernel db ~universe in
       let sat_mode, clauses =
@@ -425,39 +260,34 @@ let count ?query ?(max_candidates = default_max_candidates) ?(jobs = 1)
           | None -> (Opaque q, [||]))
       in
       Metrics.incr clauses_compiled ~by:(Array.length clauses);
-      let index_bits masks n =
-        Array.init m (fun j ->
-            let hits = ref [] in
-            for i = n - 1 downto 0 do
-              if masks.(i) land (1 lsl j) <> 0 then hits := i :: !hits
-            done;
-            Array.of_list !hits)
-      in
-      let facts_with_bit =
-        index_bits (Codd.kernel_masks kernel0) (Codd.kernel_size kernel0)
-      in
-      let clauses_with_bit = index_bits clauses (Array.length clauses) in
+      let clauses_with_bit = Array.make m [] in
+      for c = Array.length clauses - 1 downto 0 do
+        Array.iter
+          (fun j -> clauses_with_bit.(j) <- c :: clauses_with_bit.(j))
+          clauses.(c)
+      done;
+      let clauses_with_bit = Array.map Array.of_list clauses_with_bit in
       let shard_bits = shard_bits_for m in
-      let nshards = 1 lsl shard_bits in
       let tasks =
-        List.init nshards (fun s () ->
+        List.init (1 lsl shard_bits) (fun shard () ->
             Metrics.incr shards_run;
             let stats = { checked = 0; pruned = 0; found = 0 } in
-            let found =
-              Events.with_span "comp_kernel.shard"
-                ~args:[ ("shard", Events.Int s) ]
-                (fun () ->
-                  run_shard ~m ~shard_bits ~prefix:(s lsl (m - shard_bits))
-                    ~kernel:(Codd.kernel_copy kernel0) ~clauses ~sat_mode
-                    ~universe ~facts_with_bit ~clauses_with_bit stats)
-            in
+            Events.with_span "comp_kernel.shard"
+              ~args:[ ("shard", Events.Int shard) ]
+              (fun () ->
+                run_shard ~m ~shard_bits ~shard
+                  ~kernel:(Codd.kernel_copy kernel0) ~clauses
+                  ~clauses_with_bit ~sat_mode ~universe stats);
             Metrics.incr subsets_checked ~by:stats.checked;
             Metrics.incr completions_checked ~by:stats.checked;
-            Metrics.incr masks_pruned ~by:stats.pruned;
-            found)
+            (stats.found, stats.pruned))
       in
-      Nat.of_int
-        (List.fold_left ( + ) 0 (Incdb_par.Pool.run ~jobs tasks)))
+      let per_shard = Incdb_par.Pool.run ~jobs tasks in
+      (* Past 2^62 pruned leaves the counter holds [max_int]. *)
+      let pruned = List.fold_left (fun acc (_, p) -> add_sat acc p) 0 per_shard in
+      Metrics.incr masks_pruned
+        ~by:(min pruned (max_int - Metrics.value masks_pruned));
+      Nat.of_int (List.fold_left (fun acc (f, _) -> acc + f) 0 per_shard))
 
 (* ------------------------------------------------------------------ *)
 (* The seed implementation, kept verbatim as the agreement/bench oracle *)

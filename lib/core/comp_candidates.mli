@@ -12,20 +12,22 @@
     values: [R(⊥1) ... R(⊥n)] over [{0,1}] has [2^n] valuations but only
     [4] candidate sets.
 
-    {b The bitset kernel.}  [count] no longer materializes one [Cdb.t] per
-    subset.  It compiles the query to a {!Incdb_cq.Lineage.t} (a DNF of
-    fact-id bitmasks over [U]), precomputes each table fact's ground-image
-    mask ({!Incdb_incomplete.Codd.kernel}), and enumerates candidate masks
-    by recursive prefix descent, maintaining per-fact reachability and
-    per-clause winnability counters incrementally — so star-check failures
-    and query falsification prune whole subtrees, and a leaf costs only
-    the saturating-matching test.  The mask space is split into prefix
-    shards executed on {!Incdb_par.Pool} — at least 64, growing with the
-    universe up to a cap of 16x the host's recommended domain count (so
-    a small machine is not taxed with re-walking thousands of shard
-    prefixes it cannot run in parallel).  The shard split depends on the
-    universe and the host, never on [jobs], so totals (and the
-    [comp_kernel.*] metrics) are bit-identical at any job count. *)
+    {b The walk.}  [count] does not materialize one [Cdb.t] per subset.
+    It compiles the query to a {!Incdb_cq.Lineage.t} (a DNF whose clauses
+    are ascending arrays of indices into [U]), precomputes each table
+    fact's ground image ({!Incdb_incomplete.Codd.kernel}), and walks the
+    candidate sets by recursive prefix descent from the highest index
+    down.  It keeps the included indices on a stack and maintains
+    per-fact reachability and per-clause winnability counters
+    incrementally, so star-check failures and query falsification prune
+    whole subtrees, and a leaf costs only the saturating-matching test.
+    The candidate space is split into prefix shards executed on
+    {!Incdb_par.Pool} — at least 64, growing with the universe up to a
+    cap of 16x the host's recommended domain count (so a small machine
+    is not taxed with re-walking thousands of shard prefixes it cannot
+    run in parallel).  The shard split depends on the universe and the
+    host, never on [jobs], so totals (and the [comp_kernel.*] metrics)
+    are bit-identical at any job count. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -42,39 +44,32 @@ val candidate_facts : Idb.t -> Cdb.fact list
     feasibility and hand the materialized universe to {!count}. *)
 val universe_within : Idb.t -> limit:int -> Cdb.fact array option
 
-(** Raised by {!count} when the candidate universe exceeds the cap;
-    carries the actual universe size, mirroring
-    [Idb.Too_many_valuations]. *)
+(** Raised by {!count} when the candidate universe exceeds the cap.
+    [universe] is a lower bound on its size: [limit + 1] when grounding
+    stopped early (as {!universe_within} does), the exact size when the
+    caller passed the universe in. *)
 exception Too_many_candidates of { universe : int; limit : int }
 
-(** Default candidate cap of {!count} (80, past the single-word ceiling
-    since the wide-mask path landed; previously 26, and the pre-kernel
-    enumerator capped at 22). *)
+(** Default candidate cap of {!count} (80; previously 26, and the
+    pre-kernel enumerator capped at 22). *)
 val default_max_candidates : int
 
-(** Which mask representation {!count} enumerates with.  [Auto] (the
-    default) picks the single-word int kernel up to
-    [Lineage.max_universe] candidates and the multi-word
-    {!Incdb_bignum.Bitset.Wide} kernel beyond; [Int_masks]/[Wide_masks]
-    force one side, for A/B measurement ([Int_masks] past one word
-    raises {!Too_many_candidates} at the word ceiling, as the pre-wide
-    dispatcher did). *)
-type mask_choice = Auto | Int_masks | Wide_masks
+(** A single value, ignored by {!count}.  It stays only because the
+    end-to-end benchmark, which is frozen, passes it; it leaves with the
+    ROADMAP's dispatcher-as-data change. *)
+type mask_choice = Auto
 
-(** [count ?query ?max_candidates ?jobs ?mask ?universe db] counts the
-    completions of the Codd table [db] satisfying [query] (all completions
-    if omitted), sharding the mask space over [jobs] worker domains
-    (default 1; totals are bit-identical at any job count).  Pass
-    [~universe] (as produced by {!universe_within}) to skip re-grounding.
-    Both mask representations share the shard split and walk the same
-    prefix tree, so counts and [comp_kernel.*] metric deltas agree
-    bit-for-bit wherever both apply; the [comp_kernel.mask_width] gauge
-    records the probed width and [comp_kernel.wide_dispatch] counts
-    wide-path runs.
+(** [count ?query ?max_candidates ?jobs ?universe db] counts the
+    completions of the Codd table [db] satisfying [query] (all
+    completions if omitted), sharding the candidate space over [jobs]
+    worker domains (default 1; totals are bit-identical at any job
+    count).  Pass [~universe] (as produced by {!universe_within}) to
+    skip re-grounding.  The [comp_kernel.mask_width] gauge records the
+    universe size; [comp_kernel.masks_pruned] saturates at [max_int].
+    [mask] is ignored (see {!mask_choice}).
     @raise Invalid_argument if [db] is not Codd.
     @raise Too_many_candidates if the candidate universe exceeds
-    [max_candidates] (default {!default_max_candidates}), or exceeds
-    [Lineage.max_universe] under [~mask:Int_masks]. *)
+    [max_candidates] (default {!default_max_candidates}). *)
 val count :
   ?query:Query.t ->
   ?max_candidates:int ->

@@ -28,8 +28,7 @@
    Determinism: the sweep is sequential, the frontier is an explicit
    array in first-reach order, families are interned behind canonical
    sorting, and Nat addition is exact — the count and every elim counter
-   are invariant across the dispatcher's jobs, mask representation and
-   cache on/off. *)
+   are invariant across the dispatcher's jobs and cache on/off. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -37,7 +36,6 @@ open Incdb_incomplete
 open Incdb_relational
 module Metrics = Incdb_obs.Metrics
 module Events = Incdb_obs.Events
-module WB = Bitset.Wide
 
 type choice = Auto | Off | Force
 
@@ -73,6 +71,10 @@ let default_max_cells = 1 lsl 16
 
 (* Fact and clause window slots live in single-word masks. *)
 let max_slots = 62
+
+let popcount mask =
+  let rec pop m acc = if m = 0 then acc else pop (m land (m - 1)) (acc + 1) in
+  pop mask 0
 
 (* Registered eagerly so the kernel's activity always shows up in metric
    exports, at zero when it never ran. *)
@@ -352,18 +354,9 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
     match query with
     | None -> (false, [||], true)
     | Some q -> (
-      match Lineage.Wide.compile q universe with
+      match Lineage.compile q universe with
       | None -> raise (Infeasible Uncompilable_query)
-      | Some l ->
-        let cl =
-          Array.map
-            (fun mask ->
-              let bits = ref [] in
-              WB.iter (fun i -> bits := i :: !bits) mask;
-              Array.of_list (List.rev !bits))
-            (Lineage.Wide.clauses l)
-        in
-        (Lineage.Wide.is_negated l, cl, false))
+      | Some l -> (Lineage.is_negated l, Lineage.clauses l, false))
   in
   let init_sat =
     (not sat_all) && Array.exists (fun c -> Array.length c = 0) clause_bits
@@ -661,7 +654,7 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
         let a = Array.of_list l in
         Array.sort
           (fun x y ->
-            let c = compare (Lineage.popcount y) (Lineage.popcount x) in
+            let c = compare (popcount y) (popcount x) in
             if c <> 0 then c else compare x y)
           a;
         let kept = vec_create () in

@@ -42,7 +42,7 @@
 
     The DP is sequential and fully deterministic: counts and the
     [comp_kernel.elim_*] counters are invariant across the dispatcher's
-    [jobs], mask representation and cache configuration. *)
+    [jobs] and cache configuration. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -57,7 +57,7 @@ val choice_to_string : choice -> string
     style of the other limits ([Too_many_valuations] / [_candidates] /
     [_events]) so the CLI reports them uniformly:
 
-    - [Uncompilable_query]: the query has no mask-DNF lineage
+    - [Uncompilable_query]: the query has no DNF lineage
       (opaque [Semantic] queries).
     - [Universe_too_large]: the per-branch ground universe exceeds
       [max_universe] candidates.

@@ -446,7 +446,7 @@ let dispatch_route ?max_candidates ~comp_elim ?comp_width_bound query db =
    arm falling back to [enum_or_brute] if the DP outgrows its state
    budget mid-run under [Auto] (mirrors the #Val kernel's conditioning
    fallback). *)
-let dispatch query ?brute_limit ?max_candidates ?(jobs = 1) ?mask
+let dispatch query ?brute_limit ?max_candidates ?(jobs = 1)
     ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
     ?comp_max_states ?(comp_cache = true) ?comp_memos ?comp_spill_dir db =
   let rec go = function
@@ -459,7 +459,7 @@ let dispatch query ?brute_limit ?max_candidates ?(jobs = 1) ?mask
         Events.with_span "count_comp.candidate_enumeration" (fun () ->
             Comp_candidates.count
               ?query:(Option.map (fun q -> Query.Bcq q) query)
-              ?max_candidates ~jobs ?mask ~universe db) )
+              ?max_candidates ~jobs ~universe db) )
     | R_elim plan -> (
       match
         Events.with_span "count_comp.lineage_elimination" (fun () ->
@@ -493,10 +493,10 @@ let dispatch query ?brute_limit ?max_candidates ?(jobs = 1) ?mask
         (algorithm_to_string algo);
       (algo, n))
 
-let count ?brute_limit ?max_candidates ?jobs ?mask ?comp_elim
+let count ?brute_limit ?max_candidates ?jobs ?mask:_ ?comp_elim
     ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache
     ?comp_memos ?comp_spill_dir q db =
-  dispatch (Some q) ?brute_limit ?max_candidates ?jobs ?mask ?comp_elim
+  dispatch (Some q) ?brute_limit ?max_candidates ?jobs ?comp_elim
     ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache
     ?comp_memos ?comp_spill_dir db
 

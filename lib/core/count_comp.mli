@@ -60,17 +60,16 @@ val uniform_symbolic :
 (** [count ?brute_limit ?max_candidates ?jobs q db] dispatches: the
     Theorem 4.6 algorithm when it applies; otherwise — Codd or not — the
     {!Comp_kernel} elimination arm whenever it can compile a plan; when
-    the plan declines, the {!Comp_candidates} bitset enumerator for a
+    the plan declines, the {!Comp_candidates} candidate walk for a
     Codd table whose candidate universe fits within [max_candidates]
     (default {!Comp_candidates.default_max_candidates}; probed with an
     early-exit grounding, and the probed universe is reused by the
     counting call); brute-force enumeration as the last resort.  [jobs]
     (default 1: sequential; 0: auto-detect) shards the brute-force
-    completion dedup — or the enumerator's mask space — across domains;
-    totals are bit-identical at any job count (the elimination DP is
-    sequential).  [mask] (default [Auto]) picks the enumerator's mask
-    representation: single-word up to [Lineage.max_universe]
-    candidates, multi-word beyond (see {!Comp_candidates.mask_choice}).
+    completion dedup — or the enumerator's candidate space — across
+    domains; totals are bit-identical at any job count (the elimination
+    DP is sequential).  [mask] is ignored (see
+    {!Comp_candidates.mask_choice}).
 
     The elimination arm is steered by [comp_elim] (default
     [Comp_kernel.Auto]): [Off] skips it (enumerator, then brute force),
@@ -108,13 +107,12 @@ val count :
   Idb.t ->
   algorithm * Nat.t
 
-(** [count_all ?brute_limit ?max_candidates ?jobs ?mask db] counts all
+(** [count_all ?brute_limit ?max_candidates ?jobs db] counts all
     completions (no query); same dispatch and options as {!count}. *)
 val count_all :
   ?brute_limit:int ->
   ?max_candidates:int ->
   ?jobs:int ->
-  ?mask:Comp_candidates.mask_choice ->
   ?comp_elim:Comp_kernel.choice ->
   ?comp_width_bound:int ->
   ?comp_max_cells:int ->

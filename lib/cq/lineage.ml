@@ -1,33 +1,48 @@
 open Incdb_relational
 
-let max_universe = Sys.int_size - 1
-
-type t = { clauses : int array; negated : bool }
+type t = { clauses : int array array; negated : bool }
 
 let clause_count l = Array.length l.clauses
 let is_negated l = l.negated
 let clauses l = l.clauses
 
-let popcount mask =
-  let rec pop m acc = if m = 0 then acc else pop (m land (m - 1)) (acc + 1) in
-  pop mask 0
-
-(* Keep only the minimal clauses of a deduplicated DNF: a clause subsumed
-   by a strict subset is redundant (the subset fires first).  Sorting by
-   popcount lets the filter compare each clause only against already-kept
-   smaller ones. *)
-let minimal clauses =
-  let sorted =
-    List.sort_uniq compare clauses
-    |> List.map (fun c -> (popcount c, c))
-    |> List.sort compare
+(* [subset a b] on ascending index arrays: every index of [a] is in [b]. *)
+let subset a b =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i j =
+    i = la
+    || la - i <= lb - j
+       &&
+       let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
+       if x = y then go (i + 1) (j + 1) else x > y && go i (j + 1)
   in
+  go 0 0
+
+(* Clause order: by size, then as the numbers whose set bits the indices
+   are.  For two clauses of one size that number order is decided at the
+   highest position where they differ, so compare from the top. *)
+let compare_clause a b =
+  let c = Int.compare (Array.length a) (Array.length b) in
+  if c <> 0 then c
+  else
+    let rec go k =
+      if k < 0 then 0
+      else
+        let c = Int.compare a.(k) b.(k) in
+        if c <> 0 then c else go (k - 1)
+    in
+    go (Array.length a - 1)
+
+(* Keep only the minimal clauses of a DNF: a clause subsumed by a strict
+   subset is redundant (the subset fires first).  Sorting by size lets
+   the filter compare each clause only against already-kept smaller
+   ones. *)
+let minimal clauses =
   let kept = ref [] in
   List.iter
-    (fun (_, c) ->
-      if not (List.exists (fun c' -> c' land c = c') !kept) then
-        kept := c :: !kept)
-    sorted;
+    (fun c ->
+      if not (List.exists (fun c' -> subset c' c) !kept) then kept := c :: !kept)
+    (List.sort_uniq compare_clause clauses);
   Array.of_list (List.rev !kept)
 
 let index_universe universe =
@@ -53,135 +68,26 @@ let cq_clauses ?(neqs = []) idx universe cq =
              neqs
          then
            Some
-             (List.fold_left
-                (fun m a -> m lor (1 lsl Hashtbl.find idx (image h a)))
-                0 cq)
+             (Array.of_list
+                (List.sort_uniq Int.compare
+                   (List.map (fun a -> Hashtbl.find idx (image h a)) cq)))
          else None)
 
 let compile q universe =
-  if Array.length universe > max_universe then None
-  else begin
-    let idx = index_universe universe in
-    let rec go negated = function
-      | Query.Bcq cq -> Some (cq_clauses idx universe cq, negated)
-      | Query.Bcq_neq (cq, neqs) -> Some (cq_clauses ~neqs idx universe cq, negated)
-      | Query.Union cqs ->
-        Some (List.concat_map (cq_clauses idx universe) cqs, negated)
-      | Query.Not q -> go (not negated) q
-      | Query.Semantic _ -> None
-    in
-    Option.map
-      (fun (clauses, negated) -> { clauses = minimal clauses; negated })
-      (go false q)
-  end
-
-let dnf_sat clauses mask =
-  let n = Array.length clauses in
-  let rec go i =
-    if i = n then false
-    else
-      let c = Array.unsafe_get clauses i in
-      c land mask = c || go (i + 1)
+  let idx = index_universe universe in
+  let rec go negated = function
+    | Query.Bcq cq -> Some (cq_clauses idx universe cq, negated)
+    | Query.Bcq_neq (cq, neqs) -> Some (cq_clauses ~neqs idx universe cq, negated)
+    | Query.Union cqs ->
+      Some (List.concat_map (cq_clauses idx universe) cqs, negated)
+    | Query.Not q -> go (not negated) q
+    | Query.Semantic _ -> None
   in
-  go 0
+  Option.map
+    (fun (clauses, negated) -> { clauses = minimal clauses; negated })
+    (go false q)
 
-let sat l mask = dnf_sat l.clauses mask <> l.negated
-
-(* ------------------------------------------------------------------ *)
-(* The same compiler over an abstract mask representation              *)
-(* ------------------------------------------------------------------ *)
-
-module type MASKED = sig
-  type mask
-  type lineage
-
-  val clause_count : lineage -> int
-  val is_negated : lineage -> bool
-  val clauses : lineage -> mask array
-  val compile : Query.t -> Cdb.fact array -> lineage option
-  val sat : lineage -> mask -> bool
-  val dnf_sat : mask array -> mask -> bool
-end
-
-module Make (M : Incdb_bignum.Bitset.MASK) = struct
-  type mask = M.t
-  type lineage = { clauses : mask array; negated : bool }
-
-  let clause_count l = Array.length l.clauses
-  let is_negated l = l.negated
-  let clauses l = l.clauses
-
-  (* Mirrors the single-word {!minimal} above, with the implicit int
-     orderings spelled out: dedup by mask order, then sort by
-     (popcount, mask) so the subsumption filter only compares against
-     already-kept smaller clauses. *)
-  let minimal clauses =
-    let sorted =
-      List.sort_uniq M.compare clauses
-      |> List.map (fun c -> (M.popcount c, c))
-      |> List.sort (fun (pa, a) (pb, b) ->
-             match Stdlib.Int.compare pa pb with
-             | 0 -> M.compare a b
-             | c -> c)
-    in
-    let kept = ref [] in
-    List.iter
-      (fun (_, c) ->
-        if not (List.exists (fun c' -> M.subset c' c) !kept) then
-          kept := c :: !kept)
-      sorted;
-    Array.of_list (List.rev !kept)
-
-  let cq_clauses ?(neqs = []) ~width idx universe cq =
-    let cdb = Cdb.of_list (Array.to_list universe) in
-    let image h (a : Cq.atom) =
-      Cdb.fact a.Cq.rel
-        (List.map (fun v -> List.assoc v h) (Array.to_list a.Cq.vars))
-    in
-    Cq.homomorphisms cq cdb
-    |> List.filter_map (fun h ->
-           if
-             List.for_all
-               (fun (x, y) -> List.assoc_opt x h <> List.assoc_opt y h)
-               neqs
-           then
-             Some
-               (List.fold_left
-                  (fun m a -> M.set m (Hashtbl.find idx (image h a)))
-                  (M.zero ~width) cq)
-           else None)
-
-  let compile q universe =
-    let width = Array.length universe in
-    if width > M.max_width then None
-    else begin
-      let idx = index_universe universe in
-      let rec go negated = function
-        | Query.Bcq cq -> Some (cq_clauses ~width idx universe cq, negated)
-        | Query.Bcq_neq (cq, neqs) ->
-          Some (cq_clauses ~neqs ~width idx universe cq, negated)
-        | Query.Union cqs ->
-          Some (List.concat_map (cq_clauses ~width idx universe) cqs, negated)
-        | Query.Not q -> go (not negated) q
-        | Query.Semantic _ -> None
-      in
-      Option.map
-        (fun (clauses, negated) -> { clauses = minimal clauses; negated })
-        (go false q)
-    end
-
-  let dnf_sat clauses mask =
-    let n = Array.length clauses in
-    let rec go i =
-      if i = n then false
-      else M.subset (Array.unsafe_get clauses i) mask || go (i + 1)
-    in
-    go 0
-
-  let sat l mask = dnf_sat l.clauses mask <> l.negated
-end
-
-module Wide = Make (Incdb_bignum.Bitset.Wide)
+let sat l set = Array.exists (fun c -> subset c set) l.clauses <> l.negated
 
 (* ------------------------------------------------------------------ *)
 (* Slot-assignment clauses (the valuation-space face of the same idea) *)

@@ -1,4 +1,4 @@
-(** Query lineage compiled to bitmask DNF.
+(** Query lineage compiled to a DNF over universe indices.
 
     In the probabilistic-database tradition (and the Kenig–Suciu model
     counting line of work), counting over uncertain data reduces to a
@@ -6,24 +6,19 @@
     finite universe [U] of ground facts, the {e lineage} of [q] over [U]
     is the DNF whose clauses are the footprints of the homomorphisms of
     [q] into [U]: a sub-database [S ⊆ U] satisfies [q] iff [S] contains
-    some footprint.  With [|U| <= Sys.int_size - 1], every clause — and
-    every candidate [S] — is a single OCaml int, and query evaluation
-    inside an enumeration over subsets of [U] becomes "some clause mask
-    is a subset of the candidate mask": pure word operations, no
-    allocation.  This is the evaluation kernel behind
-    [Comp_candidates.count]'s candidate-space enumeration.
+    some footprint.  A clause, like a candidate set [S], is an ascending
+    array of indices into [U], so the universe has no size ceiling.
+    [Comp_candidates.count] keeps a counter per clause along its walk
+    over candidate sets, and [Comp_kernel] sweeps the clauses as windows
+    of its DP.
 
     The module lives in [incdb_cq] (not [incdb_core]) because the
     compiler only needs [Query] and [Cdb]. *)
 
 open Incdb_relational
 
-(** Largest universe a single-word clause mask can represent
-    ([Sys.int_size - 1]); the {!Wide} instantiation has no such bound. *)
-val max_universe : int
-
-(** A compiled lineage: minimal DNF clauses over fact-id bits, with an
-    outer negation flag (so [Not q] compiles when [q] does). *)
+(** A compiled lineage: minimal DNF clauses over universe indices, with
+    an outer negation flag (so [Not q] compiles when [q] does). *)
 type t
 
 (** Number of (minimal, deduplicated) clauses. *)
@@ -32,28 +27,24 @@ val clause_count : t -> int
 (** Whether the compiled query is evaluated as the negation of the DNF. *)
 val is_negated : t -> bool
 
-(** The minimal clause masks themselves, for enumerators that maintain
-    per-clause state incrementally (do not mutate). *)
-val clauses : t -> int array
+(** The minimal clauses, each an ascending array of universe indices (do
+    not mutate).  They come ordered by size, then by the number whose
+    set bits they are: of two clauses of one size, the one holding the
+    larger index at the highest position where they differ comes
+    second. *)
+val clauses : t -> int array array
 
 (** [compile q universe] compiles [q]'s satisfaction over sub-databases
-    of [universe].  Returns [None] when the query cannot be compiled to a
-    mask DNF: opaque [Semantic] queries, or a universe too large for one
-    machine word.  [Not] recurses with the negation flag flipped, so any
-    (iterated) negation of a compilable query compiles. *)
+    of [universe].  Returns [None] on opaque [Semantic] queries.  [Not]
+    recurses with the negation flag flipped, so any (iterated) negation
+    of a compilable query compiles. *)
 val compile : Query.t -> Cdb.fact array -> t option
 
-(** [sat l mask] decides whether the sub-database of the universe selected
-    by [mask] satisfies the compiled query.  Semantically equal to
-    [Query.eval q (facts selected by mask)] — property-tested against it. *)
-val sat : t -> int -> bool
-
-(** [dnf_sat clauses mask] is the positive-DNF core of {!sat}: some clause
-    is a subset of [mask]. *)
-val dnf_sat : int array -> int -> bool
-
-(** Number of set bits. *)
-val popcount : int -> int
+(** [sat l set] decides whether the sub-database of the universe
+    selected by [set] (ascending universe indices) satisfies the
+    compiled query.  Semantically equal to [Query.eval q] on those facts
+    — property-tested against it. *)
+val sat : t -> int array -> bool
 
 (** {2 Slot-assignment clauses}
 
@@ -71,7 +62,7 @@ val fixes_subset : (int * int) array -> (int * int) array -> bool
 
 (** Minimal, deduplicated form of a disjunction of slot clauses: clauses
     subsumed by a (sub)clause are dropped — the slot-assignment analogue
-    of the bitmask {!clauses} minimization.  An empty clause (matches
+    of the {!clauses} minimization.  An empty clause (matches
     everything) collapses the result to [[| [||] |]]. *)
 val minimal_fixes : (int * int) array array -> (int * int) array array
 
@@ -107,32 +98,3 @@ val canonical_fixes :
   (int * int) array array ->
   dom:(int -> int) ->
   (int * int) array array * int array
-
-(** {2 Mask-generic compilation}
-
-    The same compiler over an abstract {!Incdb_bignum.Bitset.MASK}
-    representation.  [Make (Bitset.Int)] is semantically the single-word
-    compiler above (which stays in its direct int form as the fast
-    path); {!Wide} lifts the universe ceiling past [max_universe] with
-    multi-word masks.  Clause order, subsumption minimization, and
-    satisfaction are identical across instantiations — the enumerator
-    agreement tests check counts {e and} metrics bit-for-bit. *)
-
-module type MASKED = sig
-  type mask
-  type lineage
-
-  val clause_count : lineage -> int
-  val is_negated : lineage -> bool
-  val clauses : lineage -> mask array
-
-  (** Like the single-word [compile]: [None] on [Semantic] queries or a
-      universe beyond the representation ([Wide] never hits that). *)
-  val compile : Query.t -> Cdb.fact array -> lineage option
-
-  val sat : lineage -> mask -> bool
-  val dnf_sat : mask array -> mask -> bool
-end
-
-module Make (M : Incdb_bignum.Bitset.MASK) : MASKED with type mask = M.t
-module Wide : MASKED with type mask = Incdb_bignum.Bitset.Wide.t

@@ -93,9 +93,9 @@ let error_response ~id exn =
     refusal "too_many_candidates"
       ~data:[ ("universe", Json.Int universe); ("limit", Json.Int limit) ]
       (Printf.sprintf
-         "the candidate universe has %d ground facts (limit %d); raise \
+         "the candidate universe has more than %d ground facts; raise \
           max_candidates or use bounds"
-         universe limit)
+         limit)
   | Val_kernel.Too_many_events { events; limit } ->
     refusal "too_many_events"
       ~data:[ ("events", Json.Int events); ("limit", Json.Int limit) ]
@@ -172,7 +172,7 @@ let run_count state (r : Protocol.t) ~db_key db q =
       let a, n =
         Mutex.protect memo_lock (fun () ->
             Count_comp.count ~brute_limit:r.brute_limit
-              ~max_candidates:r.max_candidates ~jobs:r.jobs ~mask:r.comp_mask
+              ~max_candidates:r.max_candidates ~jobs:r.jobs
               ~comp_elim:r.comp_elim ~comp_width_bound:r.comp_width_bound
               ~comp_max_cells:r.comp_max_cells ~comp_memos:memos
               ~comp_spill_dir:spill_dir q db)

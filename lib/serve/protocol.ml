@@ -32,7 +32,7 @@ type t = {
   val_cache_entries : int;
   val_spill : Val_kernel.spill;
   max_candidates : int;
-  comp_mask : Comp_candidates.mask_choice;
+  comp_mask : Comp_candidates.mask_choice;  (* see protocol.mli *)
   comp_elim : Comp_kernel.choice;
   comp_width_bound : int;
   comp_max_cells : int;
@@ -181,15 +181,6 @@ let rows =
          enumerate (the mask space is 2^N subsets, sharded over the worker \
          domains)."
       (fun r max_candidates -> { r with max_candidates });
-    enum "comp_mask"
-      [ ("auto", Comp_candidates.Auto); ("int", Comp_candidates.Int_masks);
-        ("wide", Comp_candidates.Wide_masks) ]
-      ~default:Comp_candidates.Auto ~ops:count
-      ~doc:
-        "Mask representation of the candidate enumerator: auto (single-word \
-         int masks up to the word ceiling, multi-word bitsets beyond), or \
-         force int / wide for A/B measurement."
-      (fun r comp_mask -> { r with comp_mask });
     enum "comp_elim"
       [ ("auto", Comp_kernel.Auto); ("off", Comp_kernel.Off);
         ("force", Comp_kernel.Force) ]

@@ -45,6 +45,9 @@ type t = {
   val_spill : Val_kernel.spill;
   max_candidates : int;
   comp_mask : Comp_candidates.mask_choice;
+      (** Always [Auto] and read by nothing in the library; no knob sets
+          it.  It stays while the frozen end-to-end benchmark passes it
+          on, and leaves with the ROADMAP's dispatcher-as-data change. *)
   comp_elim : Comp_kernel.choice;
   comp_width_bound : int;
   comp_max_cells : int;

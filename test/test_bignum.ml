@@ -170,147 +170,6 @@ let prop_gcd =
       let rec igcd a b = if b = 0 then a else igcd b (a mod b) in
       Nat.to_int (Nat.gcd (Nat.of_int a) (Nat.of_int b)) = igcd a b)
 
-(* ------------------------------------------------------------------ *)
-(* Bitset: Int vs Wide agreement below one word, word boundaries       *)
-(* ------------------------------------------------------------------ *)
-
-module BI = Bitset.Int
-module BW = Bitset.Wide
-
-let both ~width bits =
-  ( List.fold_left BI.set (BI.zero ~width) bits,
-    List.fold_left BW.set (BW.zero ~width) bits )
-
-let wide_bits m =
-  let acc = ref [] in
-  BW.iter (fun i -> acc := i :: !acc) m;
-  List.rev !acc
-
-let sign n = compare n 0
-
-(* Below one word the two implementations must agree operation by
-   operation: a Wide value is then a single array slot holding exactly
-   the Int mask's word (same bit positions, same nonnegative-word
-   convention), so even compare orders coincide. *)
-let prop_bitset_int_wide =
-  QCheck.Test.make ~count:300 ~name:"Bitset.Int = Bitset.Wide below one word"
-    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let width = 1 + Random.State.int st Bitset.bits_per_word in
-      let bits () =
-        List.filter (fun _ -> Random.State.bool st) (List.init width Fun.id)
-      in
-      let ba = bits () and bb = bits () in
-      let ia, wa = both ~width ba and ib, wb = both ~width bb in
-      List.for_all (fun i -> BI.test ia i = BW.test wa i)
-        (List.init width Fun.id)
-      && BI.popcount ia = BW.popcount wa
-      && BI.popcount_inter ia ib = BW.popcount_inter wa wb
-      && BI.popcount_diff ia ib = BW.popcount_diff wa wb
-      && BI.lowest ia = BW.lowest wa
-      && BI.is_empty ia = BW.is_empty wa
-      && BI.disjoint ia ib = BW.disjoint wa wb
-      && BI.subset ia ib = BW.subset wa wb
-      && BI.equal ia ib = BW.equal wa wb
-      && sign (BI.compare ia ib) = sign (BW.compare wa wb)
-      && wide_bits (BW.union wa wb)
-         = List.filter (fun i -> BI.test (BI.union ia ib) i)
-             (List.init width Fun.id)
-      && ((not (BW.equal wa wb)) || BW.hash wa = BW.hash wb))
-
-(* Multi-word semantics independent of Int: set algebra on sorted bit
-   lists is the reference model, exercised across the 62/63 and 124/125
-   word boundaries. *)
-let prop_bitset_wide_model =
-  QCheck.Test.make ~count:300 ~name:"Bitset.Wide = set algebra across words"
-    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let width = 1 + Random.State.int st 150 in
-      let bits () =
-        List.filter (fun _ -> Random.State.int st 4 = 0)
-          (List.init width Fun.id)
-      in
-      let ba = bits () and bb = bits () in
-      let wa = List.fold_left BW.set (BW.zero ~width) ba
-      and wb = List.fold_left BW.set (BW.zero ~width) bb in
-      let inter = List.filter (fun i -> List.mem i bb) ba in
-      let union = List.sort_uniq compare (ba @ bb) in
-      wide_bits wa = ba
-      && wide_bits (BW.union wa wb) = union
-      && BW.popcount wa = List.length ba
-      && BW.popcount_inter wa wb = List.length inter
-      && BW.popcount_diff wa wb
-         = List.length (List.filter (fun i -> not (List.mem i bb)) ba)
-      && BW.lowest wa = (match ba with [] -> -1 | i :: _ -> i)
-      && BW.is_empty wa = (ba = [])
-      && BW.disjoint wa wb = (inter = [])
-      && BW.subset wa wb = List.for_all (fun i -> List.mem i bb) ba
-      && BW.equal wa wb = (ba = bb))
-
-let test_bitset_words_for () =
-  let bpw = Bitset.bits_per_word in
-  Alcotest.(check int) "bits_per_word" (Sys.int_size - 1) bpw;
-  Alcotest.(check int) "words_for 0" 0 (Bitset.words_for 0);
-  Alcotest.(check int) "words_for 1" 1 (Bitset.words_for 1);
-  Alcotest.(check int) "words_for bpw" 1 (Bitset.words_for bpw);
-  Alcotest.(check int) "words_for bpw+1" 2 (Bitset.words_for (bpw + 1));
-  Alcotest.(check int) "words_for 2*bpw" 2 (Bitset.words_for (2 * bpw));
-  Alcotest.(check int) "words_for 2*bpw+1" 3 (Bitset.words_for (2 * bpw + 1))
-
-let test_bitset_boundaries () =
-  (* low at exactly one-word, one-word-plus-one and two-word widths:
-     the bits just below and just above each boundary behave
-     identically. *)
-  List.iter
-    (fun width ->
-      let f = BW.low ~width width in
-      Alcotest.(check int)
-        (Printf.sprintf "full %d popcount" width)
-        width (BW.popcount f);
-      Alcotest.(check bool)
-        (Printf.sprintf "full %d top bit" width)
-        true
-        (BW.test f (width - 1));
-      Alcotest.(check int)
-        (Printf.sprintf "full %d lowest" width)
-        0 (BW.lowest f);
-      Alcotest.(check bool)
-        (Printf.sprintf "full %d = every bit set" width)
-        true
-        (BW.equal f (List.fold_left BW.set (BW.zero ~width) (List.init width Fun.id)));
-      let l = BW.low ~width (width - 1) in
-      Alcotest.(check int)
-        (Printf.sprintf "low %d popcount" (width - 1))
-        (width - 1) (BW.popcount l);
-      Alcotest.(check bool)
-        (Printf.sprintf "low misses bit %d" (width - 1))
-        false
-        (BW.test l (width - 1));
-      Alcotest.(check bool)
-        (Printf.sprintf "low subset full (%d)" width)
-        true (BW.subset l f))
-    [ 62; 63; 64; 124; 125 ];
-  (* A bit in word 0 and a bit in word 1 straddling the boundary. *)
-  let width = 70 in
-  let a = BW.set (BW.zero ~width) 61 and b = BW.set (BW.zero ~width) 62 in
-  Alcotest.(check bool) "straddle disjoint" true (BW.disjoint a b);
-  Alcotest.(check int) "straddle union" 2 (BW.popcount (BW.union a b));
-  Alcotest.(check bool) "order across words" true (BW.compare a b < 0);
-  Alcotest.(check (list int)) "iter ascending" [ 61; 62 ]
-    (wide_bits (BW.union a b))
-
-let test_bitset_inplace () =
-  let width = 100 in
-  let base = BW.set (BW.zero ~width) 7 in
-  let scratch = BW.copy base in
-  BW.set_inplace scratch 99;
-  Alcotest.(check bool) "copy isolates" false (BW.test base 99);
-  Alcotest.(check bool) "set_inplace lands" true (BW.test scratch 99);
-  BW.clear_inplace scratch 99;
-  Alcotest.(check bool) "clear undoes" true (BW.equal scratch base)
-
 let zsmall = QCheck.Gen.int_range (-1_000_000) 1_000_000
 
 let prop_zint_ring =
@@ -376,14 +235,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_basics;
           Alcotest.test_case "big values" `Quick test_big_values;
           Alcotest.test_case "errors" `Quick test_sub_errors;
-        ] );
-      ( "bitset",
-        [
-          QCheck_alcotest.to_alcotest prop_bitset_int_wide;
-          QCheck_alcotest.to_alcotest prop_bitset_wide_model;
-          Alcotest.test_case "words_for" `Quick test_bitset_words_for;
-          Alcotest.test_case "word boundaries" `Quick test_bitset_boundaries;
-          Alcotest.test_case "in-place scratch" `Quick test_bitset_inplace;
         ] );
       ( "combinat",
         [

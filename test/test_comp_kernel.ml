@@ -5,7 +5,7 @@
    bag-boundary spill path, and qcheck agreement with the candidate
    enumerator and the parallel brute-force oracle on random Codd and
    non-Codd tables — counts and the deterministic elim counters
-   bit-identical across jobs {1,2,4}, mask int/wide and cache on/off. *)
+   bit-identical across jobs {1,2,4} and cache on/off. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -16,7 +16,7 @@ module Metrics = Incdb_obs.Metrics
 
 let check_nat = Gen.check_nat
 
-(* The elim counters that must not depend on jobs / mask / cache (the
+(* The elim counters that must not depend on jobs / cache (the
    cache hit/miss counters are excluded by design). *)
 let elim_counters =
   [
@@ -283,9 +283,8 @@ let test_spill_agreement () =
 (* Agreement properties                                                *)
 (* ------------------------------------------------------------------ *)
 
-let force_count ?jobs ?mask ?cache q db =
-  Count_comp.count ?jobs ?mask ~comp_elim:Comp_kernel.Force ?comp_cache:cache q
-    db
+let force_count ?jobs ?cache q db =
+  Count_comp.count ?jobs ~comp_elim:Comp_kernel.Force ?comp_cache:cache q db
 
 (* Random (Codd and non-Codd) tables, no query: kernel vs brute dedup. *)
 let prop_kernel_vs_brute_all =
@@ -345,35 +344,27 @@ let prop_kernel_vs_enumerator =
           Nat.equal n m))
 
 (* Counts AND deterministic counter deltas bit-identical across
-   jobs {1,2,4} x mask int/wide x cache on/off. *)
+   jobs {1,2,4} x cache on/off. *)
 let prop_config_invariance =
   QCheck.Test.make ~count:40
-    ~name:"comp_kernel invariant across jobs x mask x cache"
+    ~name:"comp_kernel invariant across jobs x cache"
     QCheck.(triple small_int bool bool)
     (fun (seed, codd, uniform) ->
       let schema = [ ("R", 1); ("S", 2) ] in
       let db = Gen.random_idb ~seed ~schema ~rows:2 ~codd ~uniform in
       QCheck.assume (Gen.manageable ~limit:50_000 db);
       let q = Cq.make [ Cq.atom "R" [ "x" ]; Cq.atom "S" [ "x"; "y" ] ] in
-      let run jobs mask cache =
-        with_elim_deltas (fun () -> force_count ~jobs ~mask ~cache q db)
+      let run jobs cache =
+        with_elim_deltas (fun () -> force_count ~jobs ~cache q db)
       in
-      match run 1 Comp_candidates.Auto true with
+      match run 1 true with
       | exception Comp_kernel.Infeasible _ -> QCheck.assume_fail ()
       | (ref_algo, ref_n), ref_deltas ->
         List.for_all
-          (fun (jobs, mask, cache) ->
-            let (algo, n), deltas = run jobs mask cache in
+          (fun (jobs, cache) ->
+            let (algo, n), deltas = run jobs cache in
             algo = ref_algo && Nat.equal n ref_n && deltas = ref_deltas)
-          [
-            (2, Comp_candidates.Auto, true);
-            (4, Comp_candidates.Auto, true);
-            (1, Comp_candidates.Int_masks, true);
-            (1, Comp_candidates.Wide_masks, true);
-            (1, Comp_candidates.Auto, false);
-            (2, Comp_candidates.Wide_masks, false);
-            (4, Comp_candidates.Int_masks, false);
-          ])
+          [ (2, true); (4, true); (1, false); (2, false); (4, false) ])
 
 (* Unary pairs whose R and S share 1-2 nulls, plus 0-2 free nulls and
    0-2 constants per relation, every domain 1-5 values out of 6: forced

@@ -1,15 +1,17 @@
-(* Tests for the bitset lineage compiler (Lineage) and the completion
-   kernel built on it (Codd.kernel, Comp_candidates.count):
+(* Tests for the lineage compiler (Lineage) and the candidate walk
+   built on it (Codd.kernel, Comp_candidates.count), candidate sets
+   being ascending arrays of universe indices:
 
    - compiled DNF satisfaction agrees with materialized Query.eval on
-     every sub-database of a random universe;
-   - the mask-form completion test agrees with the Lemma B.2 matching
+     every sub-database of a random universe, and clauses come in a
+     pinned order;
+   - the index-array completion test agrees with the Lemma B.2 matching
      test;
-   - the kernel enumerator agrees with the seed enumerator (kept as
+   - the walk agrees with the seed enumerator (kept as
      Comp_candidates.count_reference) with and without queries;
-   - sharded totals are bit-identical across job counts;
-   - the typed Too_many_candidates error carries the real universe
-     size. *)
+   - sharded totals and work counters are bit-identical across job
+     counts, on either side of one machine word of candidates;
+   - an oversized universe is refused early, with a typed lower bound. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -37,11 +39,13 @@ let small_universe ~seed ~limit schema =
   | Some u -> Some (db, u)
   | None -> None
 
-let subset_of universe mask =
-  Cdb.of_list
-    (List.filteri
-       (fun i _ -> mask land (1 lsl i) <> 0)
-       (Array.to_list universe))
+(* Every subset of [0 .. m-1], as ascending index arrays. *)
+let all_sets m =
+  List.init (1 lsl m) (fun mask ->
+      Array.of_list (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init m Fun.id)))
+
+let subset_of universe set =
+  Cdb.of_list (Array.to_list (Array.map (fun i -> universe.(i)) set))
 
 (* ------------------------------------------------------------------ *)
 (* Lineage compilation vs materialized evaluation                      *)
@@ -51,10 +55,9 @@ let lineage_agrees q universe =
   match Lineage.compile q universe with
   | None -> QCheck.assume_fail ()
   | Some l ->
-    let m = Array.length universe in
     List.for_all
-      (fun mask -> Lineage.sat l mask = Query.eval q (subset_of universe mask))
-      (List.init (1 lsl m) Fun.id)
+      (fun set -> Lineage.sat l set = Query.eval q (subset_of universe set))
+      (all_sets (Array.length universe))
 
 let prop_lineage_eval =
   QCheck.Test.make ~count:80 ~name:"lineage DNF = Query.eval on subsets"
@@ -110,11 +113,31 @@ let test_lineage_minimality () =
     Alcotest.(check int) "two minimal clauses" 2 (Lineage.clause_count l);
     Alcotest.(check bool) "positive" false (Lineage.is_negated l);
     Array.iter
-      (fun c -> Alcotest.(check int) "singleton clause" 1 (Lineage.popcount c))
+      (fun c -> Alcotest.(check int) "singleton clause" 1 (Array.length c))
+      (Lineage.clauses l)
+
+let test_lineage_clause_order () =
+  (* R(x), S(x) ∪ T(y) over a shuffled universe: three clauses of size
+     two and one of size one.  Clauses come by size, then in the order
+     of the numbers their indices spell as bits: {2,3} = 12 before
+     {1,4} = 18 before {0,5} = 33 — the reverse of their lexicographic
+     order. *)
+  let universe =
+    [| Cdb.fact "R" [ "a" ]; Cdb.fact "S" [ "c" ]; Cdb.fact "R" [ "b" ];
+       Cdb.fact "S" [ "b" ]; Cdb.fact "R" [ "c" ]; Cdb.fact "S" [ "a" ];
+       Cdb.fact "T" [ "d" ] |]
+  in
+  let q = Query.Union [ Cq.of_string "R(x), S(x)"; Cq.of_string "T(y)" ] in
+  match Lineage.compile q universe with
+  | None -> Alcotest.fail "the union must compile"
+  | Some l ->
+    Alcotest.(check (array (array int)))
+      "size, then number order"
+      [| [| 6 |]; [| 2; 3 |]; [| 1; 4 |]; [| 0; 5 |] |]
       (Lineage.clauses l)
 
 (* ------------------------------------------------------------------ *)
-(* Mask completion test vs Lemma B.2                                   *)
+(* Index-array completion test vs Lemma B.2                            *)
 (* ------------------------------------------------------------------ *)
 
 let prop_kernel_is_completion =
@@ -130,12 +153,11 @@ let prop_kernel_is_completion =
       | None -> QCheck.assume_fail ()
       | Some universe ->
         let k = Codd.kernel db ~universe in
-        let m = Array.length universe in
         List.for_all
-          (fun mask ->
-            Codd.kernel_is_completion k mask
-            = Codd.is_completion db (subset_of universe mask))
-          (List.init (1 lsl m) Fun.id))
+          (fun set ->
+            Codd.kernel_is_completion k set
+            = Codd.is_completion db (subset_of universe set))
+          (all_sets (Array.length universe)))
 
 (* ------------------------------------------------------------------ *)
 (* Kernel enumerator vs seed enumerator                                *)
@@ -226,22 +248,30 @@ let test_too_many_candidates_typed () =
   (match Comp_candidates.count db with
   | (_ : Nat.t) -> Alcotest.fail "expected Too_many_candidates"
   | exception Comp_candidates.Too_many_candidates { universe; limit } ->
-    Alcotest.(check int) "universe size" 90 universe;
+    (* Grounding stops one fact past the cap: a lower bound. *)
+    Alcotest.(check int) "universe size" 81 universe;
     Alcotest.(check int) "limit" Comp_candidates.default_max_candidates limit);
-  (* An explicit higher cap lifts the error (the wide path picks it up:
-     90 candidates no longer fit one mask word). *)
+  (* An explicit higher cap lifts the error. *)
   check_nat "explicit cap" (Nat.of_int 90)
-    (Comp_candidates.count ~max_candidates:90 db);
-  (* Forcing single-word masks re-imposes the word ceiling, as a typed
-     error rather than a wrong answer. *)
-  (match
-     Comp_candidates.count ~max_candidates:90 ~mask:Comp_candidates.Int_masks
-       db
-   with
-  | (_ : Nat.t) -> Alcotest.fail "expected Too_many_candidates under Int_masks"
+    (Comp_candidates.count ~max_candidates:90 db)
+
+let test_huge_universe_refused_early () =
+  (* R(?a,?b,?c) over 1000 values per null grounds 10^9 facts; the
+     refusal must stop at the cap instead of grounding them. *)
+  let db =
+    Idb.make
+      [ Idb.fact "R" [ Term.null "a"; Term.null "b"; Term.null "c" ] ]
+      (Idb.Uniform (List.init 1000 (fun i -> "v" ^ string_of_int i)))
+  in
+  let t0 = Sys.time () in
+  (match Comp_candidates.count db with
+  | (_ : Nat.t) -> Alcotest.fail "expected Too_many_candidates"
   | exception Comp_candidates.Too_many_candidates { universe; limit } ->
-    Alcotest.(check int) "forced-int universe" 90 universe;
-    Alcotest.(check int) "forced-int limit" Lineage.max_universe limit)
+    Alcotest.(check int) "lower bound" (limit + 1) universe);
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "refused in %.3fs of CPU" dt)
+    true (dt < 0.25)
 
 let test_universe_within_probe () =
   let db =
@@ -257,69 +287,73 @@ let test_universe_within_probe () =
     (Comp_candidates.universe_within db ~limit:7 = None)
 
 (* ------------------------------------------------------------------ *)
-(* Wide masks: int/wide equivalence, the lifted ceiling, boundaries    *)
+(* Past one machine word: the walk has no ceiling at 62 candidates     *)
 (* ------------------------------------------------------------------ *)
 
 module Metrics = Incdb_obs.Metrics
 
-let kernel_counters =
+let walk_counters =
   [
-    "comp_kernel.clauses_compiled";
     "comp_kernel.subsets_checked";
     "comp_kernel.masks_pruned";
     "comp_kernel.shards_run";
-    "completions_checked";
   ]
 
-(* Run [f] with metrics enabled and return its result together with the
-   per-counter deltas it caused.  The test binary is single-domain
-   outside the kernel's own pool, so deltas are attributable. *)
-let with_counter_deltas f =
-  let v n = Metrics.value (Metrics.counter n) in
-  let before = List.map v kernel_counters in
+(* Run [f] with metrics enabled and counted from zero, and return its
+   result with the walk counters' values after it.  Counting from zero
+   matters: [masks_pruned] saturates at [max_int], which past about 62
+   candidates one run can reach. *)
+let with_walk_counters f =
+  Metrics.reset ();
   let was = Incdb_obs.Runtime.enabled () in
   Incdb_obs.Runtime.set_enabled true;
   let y =
     Fun.protect ~finally:(fun () -> Incdb_obs.Runtime.set_enabled was) f
   in
-  (y, List.map2 (fun n b -> (n, v n - b)) kernel_counters before)
-
-(* The ISSUE's core contract: on any instance the single-word kernel can
-   handle, forcing wide masks changes nothing observable — not the
-   count, and not the work metrics (subsets checked, masks pruned,
-   shards run) either, because the enumeration order and the shard split
-   are representation-independent. *)
-let prop_int_wide_masks_identical =
-  QCheck.Test.make ~count:40
-    ~name:"wide masks = int masks (counts and metrics) below the ceiling"
-    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
-    (fun seed ->
-      let db =
-        Gen.random_idb ~seed ~schema:[ ("R", 1); ("S", 1) ] ~rows:3 ~codd:true
-          ~uniform:(seed mod 2 = 0)
-      in
-      QCheck.assume (Comp_candidates.universe_within db ~limit:12 <> None);
-      let q = Query.Bcq (Cq.of_string "R(x), S(x)") in
-      let run mask query =
-        with_counter_deltas (fun () ->
-            Comp_candidates.count ?query ~mask ~jobs:2 db)
-      in
-      List.for_all
-        (fun query ->
-          let ni, di = run Comp_candidates.Int_masks query in
-          let nw, dw = run Comp_candidates.Wide_masks query in
-          Nat.equal ni nw && di = dw)
-        [ None; Some q; Some (Query.Not q) ])
+  (y, List.map (fun n -> (n, Metrics.value (Metrics.counter n))) walk_counters)
 
 let uniform_unary ~d ~n =
   Idb.make
     (List.init n (fun i -> Idb.fact "R" [ Term.null (Printf.sprintf "n%d" i) ]))
     (Idb.Uniform (List.init d (fun i -> "v" ^ string_of_int i)))
 
+(* [k <= 3] unary nulls over one [d]-value domain, [d] on either side of
+   the old 62-bit word: the completions are the nonempty subsets of at
+   most [k] values, sum_{j=1..k} C(d,j).  The count and the walk's work
+   counters must not depend on jobs, and the counters never go
+   negative. *)
+let prop_walk_across_word =
+  QCheck.Test.make ~count:12
+    ~name:"walk = closed form and brute, jobs-invariant, at 55-75 candidates"
+    QCheck.(pair (int_range 55 75) (int_range 1 3))
+    (fun (d, k) ->
+      let db = uniform_unary ~d ~n:k in
+      let expected =
+        Nat.sum (List.init k (fun j -> Combinat.binomial d (j + 1)))
+      in
+      let runs =
+        List.map
+          (fun jobs ->
+            with_walk_counters (fun () -> Comp_candidates.count ~jobs db))
+          [ 1; 2; 4 ]
+      in
+      let _, counters1 = List.hd runs in
+      List.for_all
+        (fun (n, counters) ->
+          Nat.equal n expected && counters = counters1
+          && List.for_all (fun (_, x) -> x >= 0) counters)
+        runs
+      && (k > 2
+         || List.for_all
+              (fun jobs ->
+                Nat.equal expected
+                  (Incdb_par.Brute_par.count_all_completions ~jobs db))
+              [ 1; 2; 4 ]))
+
 let test_wide_beyond_word_ceiling () =
-  (* 65 candidates: one word cannot hold the universe, the wide kernel
-     must agree with brute-force enumeration and the closed form
-     C(65,1) + C(65,2), bit-identically at every job count. *)
+  (* 65 candidates, past one machine word: the walk must agree with
+     brute-force enumeration and the closed form C(65,1) + C(65,2),
+     bit-identically at every job count. *)
   let db = uniform_unary ~d:65 ~n:2 in
   let expected =
     Nat.add (Combinat.binomial 65 1) (Combinat.binomial 65 2)
@@ -329,20 +363,20 @@ let test_wide_beyond_word_ceiling () =
   in
   List.iteri
     (fun i n ->
-      check_nat (Printf.sprintf "wide total at jobs %d" (List.nth [ 1; 2; 4 ] i))
+      check_nat (Printf.sprintf "total at jobs %d" (List.nth [ 1; 2; 4 ] i))
         expected n)
     counts;
   check_nat "Brute_par agrees" expected
     (Incdb_par.Brute_par.count_all_completions ~jobs:2 db);
   check_nat "Thm 4.6 agrees" expected (Count_comp.uniform_unary db);
-  (* A query leg past the ceiling: R(x) never prunes here (every
+  (* A query leg past the word: R(x) never prunes here (every
      completion is nonempty), so pair it with a negated query that
      does. *)
   let q = Query.Bcq (Cq.of_string "R(x)") in
-  check_nat "wide query = brute query"
+  check_nat "query = brute query"
     (Incdb_par.Brute_par.count_completions ~jobs:2 q db)
     (Comp_candidates.count ~query:q ~jobs:2 db);
-  check_nat "wide negated query"
+  check_nat "negated query"
     (Incdb_par.Brute_par.count_completions ~jobs:2 (Query.Not q) db)
     (Comp_candidates.count ~query:(Query.Not q) ~jobs:2 db)
 
@@ -365,12 +399,12 @@ let disjoint_codd sizes =
 
 let test_codd_wide_matching_boundary () =
   (* Universes of exactly 63, 64 and 65 ground facts — one word plus
-     one, two and three bits — so the Kuhn matching's mask walk crosses
-     the word boundary.  Verdicts are checked against the materialized
-     Codd.is_completion on hand-picked masks covering: a valid
+     one, two and three bits — so the Kuhn matching sees indices past
+     the old word.  Verdicts are checked against the materialized
+     Codd.is_completion on hand-picked sets covering: a valid
      one-fact-per-null completion (including the highest candidate), a
      same-null double assignment (star holds, matching must fail), and
-     an oversized mask (popcount > number of nulls). *)
+     an oversized set (more facts than nulls). *)
   List.iter
     (fun sizes ->
       let m = List.fold_left ( + ) 0 sizes in
@@ -381,8 +415,7 @@ let test_codd_wide_matching_boundary () =
         | None -> Alcotest.fail "universe must fit exactly"
       in
       Alcotest.(check int) "universe size" m (Array.length universe);
-      let k = Codd.Wide.make db ~universe in
-      let module W = Bitset.Wide in
+      let k = Codd.kernel db ~universe in
       let index_of value =
         let found = ref (-1) in
         Array.iteri
@@ -391,13 +424,10 @@ let test_codd_wide_matching_boundary () =
         Alcotest.(check bool) (value ^ " in universe") true (!found >= 0);
         !found
       in
-      let mask_of values =
-        List.fold_left
-          (fun acc v -> W.set acc (index_of v))
-          (W.zero ~width:m) values
-      in
-      let check_mask name values =
-        let mask = mask_of values in
+      let check_set name values =
+        let set =
+          Array.of_list (List.sort_uniq compare (List.map index_of values))
+        in
         let subset =
           Cdb.of_list (List.map (fun v -> Cdb.fact "R" [ v ]) values)
         in
@@ -405,16 +435,16 @@ let test_codd_wide_matching_boundary () =
         Alcotest.(check bool)
           (Printf.sprintf "%s (m=%d)" name m)
           expected
-          (Codd.Wide.is_completion k mask);
+          (Codd.kernel_is_completion k set);
         expected
       in
       let last i = Printf.sprintf "b%d_%d" i (List.nth sizes i - 1) in
       Alcotest.(check bool) "valid completion, high bits" true
-        (check_mask "one per null" [ "b0_0"; last 1; last 2 ]);
+        (check_set "one per null" [ "b0_0"; last 1; last 2 ]);
       Alcotest.(check bool) "double assignment fails matching" false
-        (check_mask "two from one null" [ "b0_0"; "b0_1"; "b1_0" ]);
-      Alcotest.(check bool) "oversized mask" false
-        (check_mask "four facts, three nulls"
+        (check_set "two from one null" [ "b0_0"; "b0_1"; "b1_0" ]);
+      Alcotest.(check bool) "oversized set" false
+        (check_set "four facts, three nulls"
            [ "b0_0"; "b1_0"; "b2_0"; last 2 ]);
       (* Full count: disjoint domains make completions exactly the
          choice tuples. *)
@@ -438,6 +468,7 @@ let () =
           Alcotest.test_case "semantic uncompilable" `Quick
             test_lineage_semantic_uncompilable;
           Alcotest.test_case "minimality" `Quick test_lineage_minimality;
+          Alcotest.test_case "clause order" `Quick test_lineage_clause_order;
         ] );
       ( "kernel",
         [
@@ -448,11 +479,13 @@ let () =
             test_kernel_beyond_seed_ceiling;
           Alcotest.test_case "typed candidate limit" `Quick
             test_too_many_candidates_typed;
+          Alcotest.test_case "huge universe refused early" `Quick
+            test_huge_universe_refused_early;
           Alcotest.test_case "universe probe" `Quick test_universe_within_probe;
         ] );
-      ( "wide",
+      ( "past one word",
         [
-          to_alcotest prop_int_wide_masks_identical;
+          to_alcotest prop_walk_across_word;
           Alcotest.test_case "beyond word ceiling" `Quick
             test_wide_beyond_word_ceiling;
           Alcotest.test_case "Codd matching at 63/64/65" `Quick

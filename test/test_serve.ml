@@ -89,20 +89,21 @@ let test_protocol_parse () =
   bad {|{"op":"count","db":"a","db_text":"b"}|};
   bad {|{"op":"count","val_order":"max-degree"}|};
   (* A misspelled knob is refused by name, never answered with the
-     default it failed to override. *)
+     default it failed to override; so is the retired comp_mask knob,
+     even with a value it used to accept. *)
   List.iter
-    (fun field ->
+    (fun (field, value) ->
       match
         Protocol.of_line
-          (Printf.sprintf {|{"op":"count","db":"x.idb","query":"R(x)","%s":1}|}
-             field)
+          (Printf.sprintf {|{"op":"count","db":"x.idb","query":"R(x)","%s":%s}|}
+             field value)
       with
       | Ok _ -> Alcotest.fail ("accepted unknown field " ^ field)
       | Error msg ->
         Alcotest.(check string) "refusal names the field"
           (Printf.sprintf "unknown field %S" field)
           msg)
-    [ "brute_limt"; "val_max_event" ];
+    [ ("brute_limt", "1"); ("val_max_event", "1"); ("comp_mask", {|"wide"|}) ];
   (* Unknown ids are echoed verbatim, whatever their type. *)
   match Protocol.of_line {|{"op":"ping","id":{"k":[1,2]}}|} with
   | Ok r ->
