@@ -10,7 +10,10 @@
    - the walk agrees with the seed enumerator (kept as
      Comp_candidates.count_reference) with and without queries;
    - sharded totals and work counters are bit-identical across job
-     counts, on either side of one machine word of candidates;
+     counts, on either side of one machine word of candidates, pinned
+     on fixed tables, and saturating instead of wrapping;
+   - the matcher agrees with Lemma B.2 past one word, where domains
+     overlap and nulls move along augmenting paths;
    - an oversized universe is refused early, with a typed lower bound. *)
 
 open Incdb_bignum
@@ -312,6 +315,91 @@ let with_walk_counters f =
   in
   (y, List.map (fun n -> (n, Metrics.value (Metrics.counter n))) walk_counters)
 
+let range lo hi = List.init (hi - lo + 1) (fun i -> string_of_int (lo + i))
+
+(* The walk's pruning, pinned: on two Codd tables of 18 and 15
+   candidates, the subsets that reach the Kuhn check and the leaves
+   pruned in bulk (the two sum to 2^m), for no query, positive, negated
+   and union DNFs and an opaque query.  Below 23 candidates the split is
+   one shard per 6-bit prefix on any host.  The values are those the
+   int-mask walk reported on the same tables. *)
+let test_walk_counters_pinned () =
+  let mixed =
+    Idb.make
+      [ Idb.fact "R" [ Term.null "a" ]; Idb.fact "R" [ Term.null "b" ];
+        Idb.fact "R" [ Term.const "3" ]; Idb.fact "S" [ Term.null "c" ];
+        Idb.fact "S" [ Term.null "d" ];
+        Idb.fact "T" [ Term.null "e"; Term.const "1" ] ]
+      (Idb.Nonuniform
+         [ ("a", range 1 5); ("b", range 3 7); ("c", range 1 4);
+           ("d", range 4 8); ("e", range 1 3) ])
+  in
+  let binary =
+    Idb.make
+      [ Idb.fact "R" [ Term.null "a"; Term.null "b" ];
+        Idb.fact "R" [ Term.const "1"; Term.null "c" ];
+        Idb.fact "S" [ Term.null "d" ] ]
+      (Idb.Nonuniform
+         [ ("a", range 1 3); ("b", range 1 3); ("c", range 1 4);
+           ("d", range 1 5) ])
+  in
+  let rs = Cq.of_string "R(x), S(x)" in
+  let has_s4 =
+    Query.Semantic
+      {
+        Query.name = "has S(4)";
+        monotone = true;
+        sem_eval = (fun s -> Cdb.mem (Cdb.fact "S" [ "4" ]) s);
+      }
+  in
+  List.iter
+    (fun (name, db, query, (count, checked, pruned)) ->
+      let brute =
+        match query with
+        | None -> Incdb_par.Brute_par.count_all_completions ~jobs:1 db
+        | Some q -> Incdb_par.Brute_par.count_completions ~jobs:1 q db
+      in
+      check_nat (name ^ ": pinned count = brute force") brute
+        (Nat.of_int count);
+      List.iter
+        (fun jobs ->
+          let n, counters =
+            with_walk_counters (fun () ->
+                Comp_candidates.count ?query ~jobs db)
+          in
+          check_nat (Printf.sprintf "%s: count at jobs %d" name jobs) brute n;
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s: counters at jobs %d" name jobs)
+            [
+              ("comp_kernel.subsets_checked", checked);
+              ("comp_kernel.masks_pruned", pruned);
+              ("comp_kernel.shards_run", 64);
+            ]
+            counters)
+        [ 1; 2; 4 ])
+    [
+      ("mixed", mixed, None, (1200, 3302, 258842));
+      ("mixed R(x),S(x)", mixed, Some (Query.Bcq rs), (687, 1827, 260317));
+      ( "mixed not R(x),S(x)",
+        mixed,
+        Some (Query.Not (Query.Bcq rs)),
+        (513, 3302, 258842) );
+      ( "mixed union",
+        mixed,
+        Some (Query.Union [ rs; Cq.of_string "T(y,y)" ]),
+        (858, 2452, 259692) );
+      ("mixed opaque", mixed, Some has_s4, (480, 3302, 258842));
+      ("binary", binary, None, (165, 195, 32573));
+      ( "binary R(x,x)",
+        binary,
+        Some (Query.Bcq (Cq.of_string "R(x,x)")),
+        (80, 90, 32678) );
+      ( "binary R(x,y),S(y)",
+        binary,
+        Some (Query.Bcq (Cq.of_string "R(x,y), S(y)")),
+        (57, 69, 32699) );
+    ]
+
 let uniform_unary ~d ~n =
   Idb.make
     (List.init n (fun i -> Idb.fact "R" [ Term.null (Printf.sprintf "n%d" i) ]))
@@ -349,6 +437,31 @@ let prop_walk_across_word =
                 Nat.equal expected
                   (Incdb_par.Brute_par.count_all_completions ~jobs db))
               [ 1; 2; 4 ]))
+
+let test_masks_pruned_saturates () =
+  (* One null over 80 values: a completion holds one fact, so the walk
+     prunes about 2^79 leaves in bulk, more than an int holds.  The
+     counter must stop at [max_int], at every job count and when a
+     second run adds to a saturated total, instead of wrapping
+     negative. *)
+  let db = uniform_unary ~d:80 ~n:1 in
+  let pruned counters = List.assoc "comp_kernel.masks_pruned" counters in
+  List.iter
+    (fun jobs ->
+      let n, counters =
+        with_walk_counters (fun () -> Comp_candidates.count ~jobs db)
+      in
+      check_nat (Printf.sprintf "count at jobs %d" jobs) (Nat.of_int 80) n;
+      Alcotest.(check int)
+        (Printf.sprintf "masks_pruned at jobs %d" jobs)
+        max_int (pruned counters))
+    [ 1; 2; 4 ];
+  let _, counters =
+    with_walk_counters (fun () ->
+        ignore (Comp_candidates.count db);
+        Comp_candidates.count db)
+  in
+  Alcotest.(check int) "masks_pruned after two runs" max_int (pruned counters)
 
 let test_wide_beyond_word_ceiling () =
   (* 65 candidates, past one machine word: the walk must agree with
@@ -455,6 +568,49 @@ let test_codd_wide_matching_boundary () =
         (Comp_candidates.count ~max_candidates:m ~jobs:2 db))
     [ [ 21; 21; 21 ]; [ 21; 21; 22 ]; [ 21; 22; 22 ] ]
 
+let prop_codd_overlapping_past_word =
+  (* Three nulls whose domains are random halves of 80 values, plus the
+     constant fact R(v79): about 70 candidates, and a fact usually has
+     two or three producers, so the matcher must move nulls along
+     augmenting paths at indices past the old word.  Random sets of 1-4
+     facts, half of them with the constant's fact, against the
+     materialized Codd.is_completion. *)
+  QCheck.Test.make ~count:30
+    ~name:"Codd matching on overlapping domains past one word"
+    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let value i = Printf.sprintf "v%02d" i in
+      let half () =
+        match List.filter (fun _ -> Random.State.bool st) (List.init 80 value) with
+        | [] -> [ value 0 ]
+        | d -> d
+      in
+      let db =
+        Idb.make
+          [ Idb.fact "R" [ Term.null "a" ]; Idb.fact "R" [ Term.null "b" ];
+            Idb.fact "R" [ Term.null "c" ]; Idb.fact "R" [ Term.const "v79" ] ]
+          (Idb.Nonuniform [ ("a", half ()); ("b", half ()); ("c", half ()) ])
+      in
+      match Comp_candidates.universe_within db ~limit:80 with
+      | None -> QCheck.assume_fail ()
+      | Some universe ->
+        let m = Array.length universe in
+        QCheck.assume (m > 63);
+        let k = Codd.kernel db ~universe in
+        let const = m - 1 (* R(v79) sorts last *) in
+        List.for_all
+          (fun _ ->
+            let picks =
+              List.init (1 + Random.State.int st 4) (fun _ ->
+                  Random.State.int st m)
+            in
+            let picks = if Random.State.bool st then const :: picks else picks in
+            let set = Array.of_list (List.sort_uniq compare picks) in
+            Codd.kernel_is_completion k set
+            = Codd.is_completion db (subset_of universe set))
+          (List.init 60 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -482,13 +638,18 @@ let () =
           Alcotest.test_case "huge universe refused early" `Quick
             test_huge_universe_refused_early;
           Alcotest.test_case "universe probe" `Quick test_universe_within_probe;
+          Alcotest.test_case "walk counters pinned" `Quick
+            test_walk_counters_pinned;
         ] );
       ( "past one word",
         [
           to_alcotest prop_walk_across_word;
+          Alcotest.test_case "masks_pruned saturates" `Quick
+            test_masks_pruned_saturates;
           Alcotest.test_case "beyond word ceiling" `Quick
             test_wide_beyond_word_ceiling;
           Alcotest.test_case "Codd matching at 63/64/65" `Quick
             test_codd_wide_matching_boundary;
+          to_alcotest prop_codd_overlapping_past_word;
         ] );
     ]

@@ -386,6 +386,38 @@ let test_admission_control () =
        (handle state
           (Printf.sprintf {|{"op":"count","db":"%s","query":"R(x"}|} db_path)))
 
+let test_candidate_refusal () =
+  (* The enumerator stops grounding one fact past its cap, so its
+     refusal states a lower bound: "more than" the cap in the message,
+     and cap + 1 as the universe in the data. *)
+  let db =
+    Incdb_incomplete.(
+      Idb.make
+        [ Idb.fact "R" [ Term.null "a"; Term.null "b" ] ]
+        (Idb.Uniform (List.init 1000 string_of_int)))
+  in
+  let refusals0 = counter "serve.refusals" in
+  match Comp_candidates.count db with
+  | (_ : Nat.t) -> Alcotest.fail "expected Too_many_candidates"
+  | exception exn ->
+    let resp = Engine.error_response ~id:Json.Null exn in
+    Alcotest.(check string) "typed refusal" "too_many_candidates"
+      (error_kind resp);
+    Alcotest.(check int) "refusal counted" (refusals0 + 1)
+      (counter "serve.refusals");
+    let e = get "error" resp in
+    Alcotest.(check string) "message"
+      "the candidate universe has more than 80 ground facts; raise \
+       max_candidates or use bounds"
+      (get_str "message" e);
+    let int_field name =
+      match get name e with
+      | Json.Int n -> n
+      | _ -> Alcotest.fail (name ^ " is not an int")
+    in
+    Alcotest.(check int) "universe is a lower bound" 81 (int_field "universe");
+    Alcotest.(check int) "limit" 80 (int_field "limit")
+
 let test_batch () =
   let state = State.create () in
   let db_path = testdata "figure1.idb" in
@@ -542,7 +574,10 @@ let () =
             test_approx_jobs_invariant;
         ] );
       ( "admission",
-        [ Alcotest.test_case "typed refusals" `Quick test_admission_control ] );
+        [
+          Alcotest.test_case "typed refusals" `Quick test_admission_control;
+          Alcotest.test_case "candidate refusal" `Quick test_candidate_refusal;
+        ] );
       ( "socket",
         [ Alcotest.test_case "round-trip" `Quick test_socket_roundtrip ] );
     ]
