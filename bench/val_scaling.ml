@@ -1,7 +1,7 @@
 (* #Val valuation-kernel measurements (PR 4, extended in PR 5 with the
    cross-branch subproblem cache).
 
-   Four claims, each measured and written to BENCH_VAL.json (override
+   Five claims, each measured and written to BENCH_VAL.json (override
    with INCDB_BENCH_VAL_OUT):
 
    - on a hard-pattern instance both engines can finish, the
@@ -23,7 +23,10 @@
 
    - the kernel counters (events compiled, elimination width,
      conditioning splits, cache hits/misses) quantify where the work
-     went.
+     went;
+
+   - a one-edge path table past the width bound is split as a product
+     of two independent ORs, with no conditioning.
 
    Two more rows time the closed-form side: Theorem 3.9's block
    convolution on R(x), S(x) with 60 nulls a side at d = 50 (checked
@@ -304,6 +307,38 @@ let dense_row ~k ~d ~e ~max_cells () =
     (sc "val_kernel.spill_read_bytes")
     identical
 
+(* One S edge over [k] nulls a side of [d] values (testdata/path_k14.idb
+   at k = 14, d = 4): past the width bound for k >= 8, and its K_{k,k}
+   lineage is the product of an OR over the R-nulls and an OR over the
+   T-nulls, which the kernel splits instead of conditioning on.  Checked
+   against the closed form (d^k - (d-1)^k)^2. *)
+let product_row ~k ~d () =
+  let db = Instances.path_chain ~k ~d ~edges:[ ("v0", "v1") ] in
+  let n, t = Instances.time (fun () -> kernel path_query db) in
+  let side =
+    Nat.sub (Nat.pow (Nat.of_int d) k) (Nat.pow (Nat.of_int (d - 1)) k)
+  in
+  assert (Nat.equal n (Nat.mul side side));
+  let (_ : Nat.t), counters =
+    counter_delta
+      [ "val_kernel.product_splits"; "val_kernel.conditioning_splits" ]
+      (fun () -> kernel path_query db)
+  in
+  let products = List.assoc "val_kernel.product_splits" counters in
+  let conditionings = List.assoc "val_kernel.conditioning_splits" counters in
+  assert (products >= 1 && conditionings = 0);
+  Printf.printf
+    "  product split (one edge, K_{%d,%d}, d=%d): %.4fs  (%d product split, \
+     %d conditioning; = closed form)\n\
+     %!"
+    k k d t products conditionings;
+  Printf.sprintf
+    "    { \"section\": \"val_kernel:product-k%d-e1\", \"result\": %S,\n\
+    \      \"kernel_seconds\": %.6f, \"product_splits\": %d, \
+     \"conditioning_splits\": %d,\n\
+    \      \"closed_form_agrees\": true }"
+    k (Nat.to_string n) t products conditionings
+
 (* Theorem 3.9's block convolution on R(x), S(x) with [n] nulls and one
    constant a side over a uniform domain of [d] values, checked against
    Example 3.10's closed form. *)
@@ -359,8 +394,9 @@ let run () =
   let r5 = dense_row ~k:6 ~d:8 ~e:3 ~max_cells:16384 () in
   let r6 = dense_row ~k:7 ~d:8 ~e:3 ~max_cells:16384 () in
   let r7 = dense_row ~k:8 ~d:8 ~e:3 ~max_cells:16384 () in
-  let r8 = thm39_uniform_row ~n:60 ~d:50 () in
-  let r9 = thm39_symbolic_row ~n:60 ~e:6 () in
+  let r8 = product_row ~k:14 ~d:4 () in
+  let r9 = thm39_uniform_row ~n:60 ~d:50 () in
+  let r10 = thm39_symbolic_row ~n:60 ~e:6 () in
   if speedup < 10. then
     Printf.printf
       "  WARNING: kernel speedup %.1fx below the 10x acceptance bar\n%!"
@@ -373,7 +409,7 @@ let run () =
        (String.concat ", " (List.map string_of_int job_levels)));
   Buffer.add_string buf "  \"sections\": [\n";
   Buffer.add_string buf
-    (String.concat ",\n" [ r1; r2; r3; r4; r5; r6; r7; r8; r9 ]);
+    (String.concat ",\n" [ r1; r2; r3; r4; r5; r6; r7; r8; r9; r10 ]);
   Buffer.add_string buf "\n  ]\n}\n";
   let path =
     match Sys.getenv_opt "INCDB_BENCH_VAL_OUT" with
@@ -391,6 +427,7 @@ let smoke () =
   let (_ : string) = beyond_row ~k:11 ~d:4 () in
   let (_ : string) = cache_row ~k:6 ~d:4 ~width_bound:2 () in
   let (_ : string) = dense_row ~k:2 ~d:5 ~e:2 ~max_cells:3 () in
+  let (_ : string) = product_row ~k:9 ~d:3 () in
   let (_ : string) = thm39_uniform_row ~n:6 ~d:8 () in
   let (_ : string) = thm39_symbolic_row ~n:6 ~e:6 () in
   ()

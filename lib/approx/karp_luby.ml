@@ -112,7 +112,7 @@ let coverage_hits = Metrics.counter "karp_luby.coverage_hits"
 let estimate_latency = Metrics.histogram "karp_luby.estimate_ns"
 let running_estimate = Metrics.gauge "karp_luby.running_estimate"
 
-let events q db =
+let partials q db =
   Obs_events.with_span "karp_luby.build_events" (fun () ->
       let collect = function
         | Query.Bcq cq -> cq_events cq db
@@ -123,7 +123,12 @@ let events q db =
       in
       let sigmas = List.sort_uniq Stdlib.compare (collect q) in
       Metrics.incr events_built ~by:(List.length sigmas);
-      List.map (fun partial -> { partial; size = event_size db partial }) sigmas)
+      sigmas)
+
+let events q db =
+  List.map
+    (fun partial -> { partial; size = event_size db partial })
+    (partials q db)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled events: the sampler's inner loop on ints                   *)
@@ -144,7 +149,7 @@ type compiled = {
 }
 
 (* Per-event encodings over the nulls of [db]. *)
-let encode_fixes evs db =
+let encode_fixes partials db =
   let nulls = Array.of_list (Idb.nulls db) in
   let slot_of = Hashtbl.create 16 in
   Array.iteri (fun j n -> Hashtbl.replace slot_of n j) nulls;
@@ -157,14 +162,14 @@ let encode_fixes evs db =
       nulls
   in
   Array.map
-    (fun e ->
+    (fun partial ->
       List.map
         (fun (n, c) ->
           let s = Hashtbl.find slot_of n in
           (s, Hashtbl.find index_of.(s) c))
-        e.partial
+        partial
       |> List.sort Stdlib.compare |> Array.of_list)
-    evs
+    partials
 
 let compile q db =
   let cevents = Array.of_list (events q db) in
@@ -172,7 +177,7 @@ let compile q db =
     Array.of_list
       (List.map (fun n -> Array.of_list (Idb.domain_of db n)) (Idb.nulls db))
   in
-  let cfixes = encode_fixes cevents db in
+  let cfixes = encode_fixes (Array.map (fun e -> e.partial) cevents) db in
   let cweights = Array.map (fun e -> Nat.to_float e.size) cevents in
   let ctotal = Array.fold_left ( +. ) 0. cweights in
   { cevents; cweights; ctotal; cdomains; cfixes }

@@ -19,18 +19,29 @@ open Incdb_incomplete
 (** One event of the union: the valuations extending [partial]. *)
 type event = { partial : (string * string) list; size : Nat.t }
 
-(** [events q db] enumerates the (deduplicated) events; their union is the
-    set of satisfying valuations.
+(** [partials q db] enumerates the (deduplicated) events' partial
+    valuations without sizing them: the [partial] fields of {!events},
+    in the same order.  Callers that never read an event's [size] (the
+    [Val_kernel] counter, an event count) use this and skip a [Nat]
+    product over every null per event.  Counted in
+    [karp_luby.events_built], as {!events} is.
+    @raise Invalid_argument on a non-monotone query. *)
+val partials : Query.t -> Idb.t -> (string * string) list list
+
+(** [events q db] enumerates the (deduplicated) events with their sizes;
+    their union is the set of satisfying valuations.
     @raise Invalid_argument on a non-monotone query. *)
 val events : Query.t -> Idb.t -> event list
 
-(** [encode_fixes evs db] encodes each event as a slot-sorted
-    [(slot, value)] array — {!Incdb_cq.Lineage}'s slot-assignment clause
-    form — where slots index [Idb.nulls db] and values index the slot's
-    domain array.  A valuation satisfies the query iff its slot encoding
-    extends some clause, which is what both the compiled sampler and the
-    [Val_kernel] variable-elimination counter consume. *)
-val encode_fixes : event array -> Idb.t -> (int * int) array array
+(** [encode_fixes partials db] encodes each event's partial valuation as
+    a slot-sorted [(slot, value)] array — {!Incdb_cq.Lineage}'s
+    slot-assignment clause form — where slots index [Idb.nulls db] and
+    values index the slot's domain array.  A valuation satisfies the
+    query iff its slot encoding extends some clause, which is what both
+    the compiled sampler and the [Val_kernel] variable-elimination
+    counter consume. *)
+val encode_fixes :
+  (string * string) list array -> Idb.t -> (int * int) array array
 
 (** {2 Compiled events}
 

@@ -119,7 +119,8 @@ type sat_mode =
      node, and at a leaf (R = included) winnability IS satisfaction, so
      the DNF is never rescanned per subset;
    - the included bits, on a stack — a completion has at most [nd]
-     facts (distinct producers), so overfull branches die on entry.
+     facts (distinct producers), so overfull branches die on entry, and
+     so does a shard whose prefix alone is overfull.
    Only bit *exclusions* shrink R, so each branch updates exactly the
    facts/clauses indexed by its bit. *)
 
@@ -198,7 +199,8 @@ let run_shard ~m ~shard_bits ~shard ~kernel ~clauses ~clauses_with_bit
         clauses_with_bit.(i)
     end
   in
-  if subtree_dead () then prune stats free_bits else go (free_bits - 1)
+  if !depth > nd || subtree_dead () then prune stats free_bits
+  else go (free_bits - 1)
 
 (* ------------------------------------------------------------------ *)
 (* The kernel driver                                                    *)

@@ -55,6 +55,7 @@ let events_compiled = Metrics.counter "val_kernel.events_compiled"
 let width_counter = Metrics.counter "val_kernel.width"
 let factors_merged = Metrics.counter "val_kernel.factors_merged"
 let conditioning_splits = Metrics.counter "val_kernel.conditioning_splits"
+let product_splits = Metrics.counter "val_kernel.product_splits"
 let slots_eliminated = Metrics.counter "val_kernel.slots_eliminated"
 let cache_hits = Metrics.counter "val_kernel.cache_hits"
 let cache_misses = Metrics.counter "val_kernel.cache_misses"
@@ -747,9 +748,10 @@ let eliminate_treedec cfg ctx mode td clauses =
 (* [solve cfg dom clauses live] counts the assignments of the slots
    [live] that extend no clause ([clauses] is minimal and mentions only
    live slots).  Slots fixed by no clause contribute their full domain
-   size; each connected component is either eliminated by the
+   size; each connected component is eliminated by the
    tree-decomposition DP (induced width within bounds, message tables in
-   memory or spilled per policy) or split by conditioning on its
+   memory or spilled per policy), else split into independent factors
+   when its clauses are a product, else split by conditioning on its
    highest-degree slot.  The conditioning branches of the outermost
    split run on the pool when [jobs <> 1]; branches and components are
    always combined in a fixed order, so totals are bit-identical at
@@ -806,16 +808,17 @@ and solve_component cfg ~jobs dom clauses slots =
       n)
 
 (* Mode decision per component.  [Off] preserves the seed behavior:
-   in-bounds components run the DP with in-memory tables, the rest
-   condition.  [Auto] additionally rescues components whose width is
+   in-bounds components run the DP with in-memory tables, the rest go
+   to {!split_component} (product split, else conditioning).  [Auto]
+   additionally rescues components whose width is
    within bound but whose tables exceed [max_cells] — exactly the
    regime the seed kernel lost to conditioning — by spilling oversized
    messages, provided the estimated stream stays inside what is left of
    the spill budget.  [Force] spills every message (a test and
    measurement mode); the width bound is then advisory, only the budget
    gates admission.  An exhausted budget (estimated up front or hit
-   mid-DP by the write hook) falls back to conditioning, so disk and
-   time stay bounded whatever the instance. *)
+   mid-DP by the write hook) falls back to {!split_component} too, so
+   disk and time stay bounded whatever the instance. *)
 and solve_component_uncached cfg ~jobs dom clauses slots =
   let ctx = { dom; vals = mentioned_values clauses } in
   let order, width, cells =
@@ -875,8 +878,39 @@ and solve_component_uncached cfg ~jobs dom clauses slots =
          falling back to conditioning"
         (Array.length slots);
       Events.instant "val_kernel.spill_budget_exhausted";
-      condition_component cfg ~jobs dom ctx clauses slots width)
+      split_component cfg ~jobs dom ctx clauses slots width)
+  | None -> split_component cfg ~jobs dom ctx clauses slots width
+
+(* Out of the DP's reach: a component whose clauses are a product A ⊗ B
+   over disjoint slot sets (see {!Lineage.product_fixes}) is matched
+   exactly when both factors are, so with [T] the product of a side's
+   full domain sizes its avoidance count is
+   [T_A·T_B − (T_A − avoid A)·(T_B − avoid B)], each factor solved on
+   its own.  One-edge path lineage, an OR over the R-nulls times an OR over
+   the T-nulls, costs two linear solves this way instead of a
+   conditioning chain.  Anything else conditions. *)
+and split_component cfg ~jobs dom ctx clauses slots width =
+  match Lineage.product_fixes clauses with
   | None -> condition_component cfg ~jobs dom ctx clauses slots width
+  | Some (a, b) ->
+    Metrics.incr product_splits;
+    let sa = Lineage.fixes_slots a and sb = Lineage.fixes_slots b in
+    let total s =
+      Array.fold_left (fun acc j -> Nat.mul acc (Nat.of_int dom.(j))) Nat.one s
+    in
+    Events.with_span "val_kernel.product"
+      ~args:
+        [
+          ("a_slots", Events.Int (Array.length sa));
+          ("a_clauses", Events.Int (Array.length a));
+          ("b_slots", Events.Int (Array.length sb));
+          ("b_clauses", Events.Int (Array.length b));
+        ]
+      (fun () ->
+        let ta = total sa and tb = total sb in
+        let hit_a = Nat.sub ta (solve cfg ~jobs dom a sa) in
+        let hit_b = Nat.sub tb (solve cfg ~jobs dom b sb) in
+        Nat.sub (Nat.mul ta tb) (Nat.mul hit_a hit_b))
 
 (* Condition on the highest-degree slot (ties: smallest index): one
    branch per mentioned value plus one aggregated "other" branch, each a
@@ -958,7 +992,7 @@ let count ?(width_bound = default_width_bound)
     Events.with_span "val_kernel.count" (fun () ->
         let evs =
           Events.with_span "val_kernel.compile_events" (fun () ->
-              Array.of_list (Incdb_approx.Karp_luby.events core db))
+              Array.of_list (Incdb_approx.Karp_luby.partials core db))
         in
         let n = Array.length evs in
         if n > max_events then

@@ -3,7 +3,8 @@
     The Karp–Luby event construction (Proposition 5.2) already
     characterizes the satisfying valuations of a monotone query exactly: a
     valuation satisfies [q] iff it extends some event, and
-    {!Incdb_approx.Karp_luby.encode_fixes} turns each event into a
+    {!Incdb_approx.Karp_luby.encode_fixes} turns each event's partial
+    valuation (enumerated unsized, {!Incdb_approx.Karp_luby.partials}) into a
     {!Incdb_cq.Lineage} slot clause — a conjunction of [(null, value)]
     literals over machine ints.  Counting satisfying valuations is then
     weighted model counting of a DNF over the nulls, and this kernel does
@@ -30,18 +31,28 @@
       a disk-backed {!Factor_store} instead of giving up (the dpdb
       idiom), as long as the estimated IO fits the spill budget;
     - when the simulated induced width exceeds the bound — or spilling
-      is off or out of budget — fall back to {e conditioning}: branch
+      is off or out of budget — first try the {e product split}: if
+      the component's clauses are a product [A ⊗ B] over disjoint nulls
+      ({!Incdb_cq.Lineage.product_fixes}; one-edge path lineage, an OR
+      over the R-nulls times an OR over the T-nulls, is one), solve the
+      factors apart and combine them as
+      [T_A·T_B − (T_A − avoid A)·(T_B − avoid B)], [T] being the
+      product of a side's domain sizes;
+    - otherwise fall back to {e conditioning}: branch
       on the highest-degree null's mentioned values plus the aggregated
       rest, simplify, and recurse on the now smaller (often
       disconnected) residual problems, so worst-case cost degrades
       gracefully instead of cliff-ing.
 
-    Branches of an outermost conditioning split run on
+    So the order per call is: components, then the DP for a component
+    in bounds, then the product split, then conditioning.  Branches of
+    an outermost conditioning split run on
     {!Incdb_par.Pool} when [jobs <> 1]; branch and component results are
     combined in a fixed order, so counts and metric totals are
     bit-identical at every job count.  Spans and the
     [val_kernel.{events_compiled,width,factors_merged,conditioning_splits,
-    slots_eliminated,nat_cells}] counters record what the kernel did. *)
+    product_splits,slots_eliminated,nat_cells}] counters record what the
+    kernel did. *)
 
 open Incdb_bignum
 open Incdb_cq

@@ -162,6 +162,83 @@ let drop_slot_fixes fixes ~slot =
        (fun c -> not (Array.exists (fun (s, _) -> s = slot) c))
        (Array.to_list fixes))
 
+(* Product detection.  If C = A ⊗ B, every literal of A meets every
+   literal of B in some clause, so each connected component of the
+   complement of the co-occurrence graph lies inside one factor; those
+   components are the candidate groups G.  A clause fixes a slot at most
+   once, so two literals of one slot never co-occur and land in one
+   group: A and B never share a slot.  A group is split off only when
+   every clause has literals on both sides (c ↦ (c|G, c|rest) is then
+   injective into A × B) and |A|·|B| = |C| (so it is onto). *)
+let product_fixes fixes =
+  let n = Array.length fixes in
+  let lits =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.concat_map Array.to_list (Array.to_list fixes)))
+  in
+  let nl = Array.length lits in
+  if n < 1 || nl < 2 then None
+  else begin
+    let ids = Hashtbl.create (2 * nl) in
+    Array.iteri (fun i l -> Hashtbl.replace ids l i) lits;
+    let cls = Array.map (Array.map (fun l -> Hashtbl.find ids l)) fixes in
+    let holding = Array.make nl [] in
+    Array.iteri
+      (fun c cl -> Array.iter (fun i -> holding.(i) <- c :: holding.(i)) cl)
+      cls;
+    (* Complement components by search over the unvisited literals: a
+       literal joins the current group unless it co-occurs with the one
+       being expanded, so each scan removes or is paid for by an edge. *)
+    let group = Array.make nl (-1) and stamp = Array.make nl (-1) in
+    let unvisited = ref (List.init nl Fun.id) in
+    let rec grow g = function
+      | [] -> ()
+      | u :: frontier ->
+        List.iter
+          (fun c -> Array.iter (fun i -> stamp.(i) <- u) cls.(c))
+          holding.(u);
+        let joined, kept =
+          List.partition (fun i -> stamp.(i) <> u) !unvisited
+        in
+        unvisited := kept;
+        List.iter (fun i -> group.(i) <- g) joined;
+        grow g (List.rev_append joined frontier)
+    in
+    let rec sweep g =
+      match !unvisited with
+      | [] -> g
+      | s :: rest ->
+        unvisited := rest;
+        group.(s) <- g;
+        grow g [ s ];
+        sweep (g + 1)
+    in
+    let groups = sweep 0 in
+    let project keep =
+      Array.to_list cls
+      |> List.map (fun cl ->
+             Array.of_list
+               (List.filter_map
+                  (fun i -> if keep group.(i) then Some lits.(i) else None)
+                  (Array.to_list cl)))
+      |> List.sort_uniq compare |> Array.of_list
+    in
+    let splits g =
+      let straddles cl =
+        Array.exists (fun i -> group.(i) = g) cl
+        && Array.exists (fun i -> group.(i) <> g) cl
+      in
+      if not (Array.for_all straddles cls) then None
+      else
+        let a = project (fun h -> h = g) and b = project (fun h -> h <> g) in
+        let la = Array.length a and lb = Array.length b in
+        if n mod lb = 0 && n / lb = la then Some (a, b) else None
+    in
+    if groups < 2 then None
+    else Seq.find_map splits (Seq.init groups Fun.id)
+  end
+
 (* Canonical form of a disjunction of slot clauses, for keying a
    subproblem cache: slots are renamed to dense ids in order of first
    occurrence (scanning clauses in the given order, pairs slot-first),

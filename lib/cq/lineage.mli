@@ -12,6 +12,12 @@
     over candidate sets, and [Comp_kernel] sweeps the clauses as windows
     of its DP.
 
+    The slot-assignment half below carries the [#Val] kernel's clause
+    algebra: minimization, conditioning on one slot's value, and
+    {!product_fixes}, which recognizes a clause set that is the product
+    of two clause sets over disjoint slots, so the kernel can count the
+    factors apart.
+
     The module lives in [incdb_cq] (not [incdb_core]) because the
     compiler only needs [Query] and [Cdb]. *)
 
@@ -83,6 +89,27 @@ val condition_fixes :
 (** Clauses not mentioning [slot] — the residual disjunction seen by the
     assignments whose value at [slot] appears in no clause. *)
 val drop_slot_fixes : (int * int) array array -> slot:int -> (int * int) array array
+
+(** [product_fixes fixes] is [Some (a, b)] when the disjunction is the
+    product of [a] and [b] over disjoint slot sets: its clauses are
+    exactly the unions [x ∪ y] for [x] in [a] and [y] in [b].  Then an
+    assignment matches [fixes] iff it matches [a] and matches [b], so
+    avoidance counts combine as [T_a·T_b − (T_a − avoid a)·(T_b − avoid
+    b)], [T] being the product of the full domain sizes.
+
+    Candidate groups are the connected components of the complement of
+    the literals' co-occurrence graph; for a group [G], [a] is the set of
+    distinct projections of the clauses onto [G] and [b] onto the other
+    literals.  A group splits only when every clause has literals on both
+    sides and [|a|·|b| = |fixes|] — this check is what makes the split
+    sound: the majority set [{xy, yz, xz}] has three groups and is no
+    product.  The first group in literal order that passes is used;
+    [None] when none does.  [a] and [b] are sorted, deduplicated and
+    slot-sorted clause by clause.  Input clauses must be distinct,
+    nonempty and slot-sorted, as produced by {!minimal_fixes}. *)
+val product_fixes :
+  (int * int) array array ->
+  ((int * int) array array * (int * int) array array) option
 
 (** [canonical_fixes fixes ~dom] is the canonical form of the
     disjunction, for keying a subproblem cache: slots renamed to dense

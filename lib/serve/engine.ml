@@ -196,7 +196,7 @@ let run_approx state (r : Protocol.t) db q =
   let head, est =
     match r.meth with
     | Protocol.Karp_luby ->
-      let events = List.length (Incdb_approx.Karp_luby.events query db) in
+      let events = List.length (Incdb_approx.Karp_luby.partials query db) in
       ( [ ("method", Json.String "karp-luby"); ("events", Json.Int events) ],
         Incdb_approx.Karp_luby.estimate ~seed:r.seed ~samples query db )
     | Protocol.Monte_carlo ->

@@ -140,6 +140,161 @@ let test_lineage_clause_order () =
       (Lineage.clauses l)
 
 (* ------------------------------------------------------------------ *)
+(* Product detection over slot-assignment clauses                      *)
+(* ------------------------------------------------------------------ *)
+
+let fixes_t = Alcotest.(array (array (pair int int)))
+
+(* Every clause [x ∪ y] for [x] in [a] and [y] in [b], slot-sorted,
+   as a sorted list. *)
+let product_of a b =
+  List.concat_map
+    (fun x ->
+      List.map
+        (fun y ->
+          let c = Array.append x y in
+          Array.sort compare c;
+          c)
+        (Array.to_list b))
+    (Array.to_list a)
+  |> List.sort_uniq compare
+
+let sorted_fixes fixes = List.sort_uniq compare (Array.to_list fixes)
+
+(* One clause [(r, a); (t, b)] per R-slot [r], R-value [a], T-slot [t]
+   and T-value [b]: the path query's lineage over an S table holding
+   every (a, b) edge. *)
+let rect rs rvals ts tvals =
+  List.concat_map
+    (fun r ->
+      List.concat_map
+        (fun a ->
+          List.concat_map
+            (fun t -> List.map (fun b -> [| (r, a); (t, b) |]) tvals)
+            ts)
+        rvals)
+    rs
+
+let singles slots vals =
+  Array.of_list
+    (List.concat_map (fun s -> List.map (fun v -> [| (s, v) |]) vals) slots)
+
+let test_product_splits () =
+  let check name fixes want_a want_b =
+    let fixes = Lineage.minimal_fixes fixes in
+    match Lineage.product_fixes fixes with
+    | None -> Alcotest.failf "%s: no split found" name
+    | Some (a, b) ->
+      Alcotest.check fixes_t (name ^ ": A") want_a a;
+      Alcotest.check fixes_t (name ^ ": B") want_b b;
+      Alcotest.(check bool)
+        (name ^ ": A ⊗ B is the clause set")
+        true
+        (product_of a b = sorted_fixes fixes)
+  in
+  (* One edge (v0, v1) over three R-nulls (slots 0-2) and three T-nulls
+     (slots 3-5): some R-null is v0 and some T-null is v1. *)
+  check "one-edge K_{3,3}"
+    (Array.of_list (rect [ 0; 1; 2 ] [ 0 ] [ 3; 4; 5 ] [ 1 ]))
+    (singles [ 0; 1; 2 ] [ 0 ])
+    (singles [ 3; 4; 5 ] [ 1 ]);
+  check "a single two-literal clause"
+    [| [| (0, 1); (1, 2) |] |]
+    [| [| (0, 1) |] |]
+    [| [| (1, 2) |] |];
+  (* testdata/kkk.idb: three values per null, every pair of an R-value
+     and a T-value an edge. *)
+  check "rectangle with three values per null"
+    (Array.of_list (rect [ 0; 1; 2 ] [ 0; 1; 2 ] [ 3; 4; 5 ] [ 0; 1; 2 ]))
+    (singles [ 0; 1; 2 ] [ 0; 1; 2 ])
+    (singles [ 3; 4; 5 ] [ 0; 1; 2 ]);
+  (* {xyw, yzw, xzw}: every literal meets every other, four groups; only
+     {w} splits off, leaving the majority set. *)
+  let x = (0, 0) and y = (1, 0) and z = (2, 0) and w = (3, 0) in
+  check "majority set times w"
+    [| [| x; y; w |]; [| y; z; w |]; [| x; z; w |] |]
+    [| [| w |] |]
+    [| [| x; y |]; [| x; z |]; [| y; z |] |]
+
+let test_product_refusals () =
+  let refuse name fixes =
+    Alcotest.(check bool)
+      (name ^ " is no product")
+      true
+      (Lineage.product_fixes (Lineage.minimal_fixes fixes) = None)
+  in
+  let x = (0, 0) and y = (1, 0) and z = (2, 0) in
+  (* Three groups, but no clause set of one group times the rest. *)
+  refuse "the majority set {xy, yz, xz}"
+    [| [| x; y |]; [| y; z |]; [| x; z |] |];
+  refuse "two rectangles with distinct endpoints"
+    (Array.of_list
+       (rect [ 0; 1 ] [ 0 ] [ 2; 3 ] [ 1 ]
+       @ rect [ 0; 1 ] [ 2 ] [ 2; 3 ] [ 3 ]));
+  (* Groups {x1, x2} and {y1, y2, z1}, every clause on both sides, but
+     five clauses where the projections would make eight: x1·z1 is
+     missing. *)
+  let x1 = (0, 1) and x2 = (0, 2) and y1 = (1, 1) and y2 = (1, 2) in
+  let z1 = (2, 1) in
+  refuse "two groups short of their product"
+    [| [| x1; y1; z1 |]; [| x2; y2 |]; [| x1; y2 |]; [| x2; y1 |];
+       [| x2; z1 |] |];
+  refuse "single-literal clauses" (singles [ 0; 1 ] [ 0; 1 ]);
+  refuse "no clauses" [||]
+
+(* Clause sets over [slots] with values 0..2, minimized. *)
+let gen_fixes slots =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n ->
+    list_repeat n
+      (list_repeat (List.length slots) (int_range (-1) 2) >|= fun vs ->
+       Array.of_list
+         (List.filter (fun (_, v) -> v >= 0) (List.combine slots vs)))
+    >|= fun cls ->
+    Lineage.minimal_fixes
+      (Array.of_list (List.filter (fun c -> Array.length c > 0) cls)))
+
+let print_fixes fixes =
+  String.concat " | "
+    (List.map
+       (fun c ->
+         String.concat ","
+           (List.map
+              (fun (s, v) -> Printf.sprintf "%d=%d" s v)
+              (Array.to_list c)))
+       (Array.to_list fixes))
+
+(* A split, whenever one is returned, is exact: its factors share no
+   slot and their product is the clause set.  And a product of two
+   clause sets over two slots each is always found: a factor over two
+   slots is one complement group or a full rectangle. *)
+let prop_product_exact =
+  QCheck.Test.make ~count:300
+    ~name:"product_fixes: splits are exact, two-slot factors are found"
+    (QCheck.make
+       ~print:(fun (c, a, b) ->
+         Printf.sprintf "C %s / A %s / B %s" (print_fixes c) (print_fixes a)
+           (print_fixes b))
+       (QCheck.Gen.triple
+          (gen_fixes [ 0; 1; 2; 3 ])
+          (gen_fixes [ 0; 1 ])
+          (gen_fixes [ 2; 3 ])))
+    (fun (c, a, b) ->
+      let exact c =
+        match Lineage.product_fixes c with
+        | None -> None
+        | Some (a', b') ->
+          let sa = Lineage.fixes_slots a' and sb = Lineage.fixes_slots b' in
+          Some
+            (product_of a' b' = sorted_fixes c
+            && Array.for_all (fun s -> not (Array.mem s sb)) sa)
+      in
+      exact c <> Some false
+      && (Array.length a = 0
+         || Array.length b = 0
+         || exact (Array.of_list (product_of a b)) = Some true))
+
+(* ------------------------------------------------------------------ *)
 (* Index-array completion test vs Lemma B.2                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -443,7 +598,10 @@ let test_masks_pruned_saturates () =
      prunes about 2^79 leaves in bulk, more than an int holds.  The
      counter must stop at [max_int], at every job count and when a
      second run adds to a saturated total, instead of wrapping
-     negative. *)
+     negative.  The same run pins [subsets_checked] at 80 on any
+     host's shard split: a shard whose prefix already sets two bits
+     dies at its root, so each leaf that reaches the Kuhn check is one
+     of the 80 one-fact completions. *)
   let db = uniform_unary ~d:80 ~n:1 in
   let pruned counters = List.assoc "comp_kernel.masks_pruned" counters in
   List.iter
@@ -454,7 +612,11 @@ let test_masks_pruned_saturates () =
       check_nat (Printf.sprintf "count at jobs %d" jobs) (Nat.of_int 80) n;
       Alcotest.(check int)
         (Printf.sprintf "masks_pruned at jobs %d" jobs)
-        max_int (pruned counters))
+        max_int (pruned counters);
+      Alcotest.(check int)
+        (Printf.sprintf "subsets_checked at jobs %d" jobs)
+        80
+        (List.assoc "comp_kernel.subsets_checked" counters))
     [ 1; 2; 4 ];
   let _, counters =
     with_walk_counters (fun () ->
@@ -625,6 +787,13 @@ let () =
             test_lineage_semantic_uncompilable;
           Alcotest.test_case "minimality" `Quick test_lineage_minimality;
           Alcotest.test_case "clause order" `Quick test_lineage_clause_order;
+        ] );
+      ( "product",
+        [
+          Alcotest.test_case "products split" `Quick test_product_splits;
+          Alcotest.test_case "non-products refused" `Quick
+            test_product_refusals;
+          to_alcotest prop_product_exact;
         ] );
       ( "kernel",
         [

@@ -345,6 +345,160 @@ let prop_overflow_agrees =
     overflow_agrees
 
 (* ------------------------------------------------------------------ *)
+(* Product lineage: independent factors instead of conditioning        *)
+(* ------------------------------------------------------------------ *)
+
+(* #Val of [R(x), S(x,y), T(y)] when S holds every edge (a, b) with [a]
+   in [rvals] and [b] in [tvals]: the lineage is an OR over the R-nulls
+   times an OR over the T-nulls, so some R-null takes a value of [rvals]
+   and some T-null one of [tvals], each side independently —
+   (Π d_r − Π(d_r − |rvals ∩ dom r|)) · (the same for T).  Two edges
+   sharing an endpoint and complete bicliques are its cases past
+   {!one_edge_closed_form}. *)
+let biclique_closed_form ~r_doms ~t_doms (rvals, tvals) =
+  let side doms vals =
+    let prod f = Nat.product (List.map (fun d -> Nat.of_int (f d)) doms) in
+    Nat.sub (prod Fun.id)
+      (prod (fun d -> d - List.length (List.filter (fun x -> x < d) vals)))
+  in
+  Nat.mul (side r_doms rvals) (side t_doms tvals)
+
+let product_counters =
+  [
+    "val_kernel.product_splits";
+    "val_kernel.conditioning_splits";
+    "val_kernel.nat_cells";
+    "val_kernel.bags";
+  ]
+
+(* Product-shaped path tables: every pair of [rvals] and [tvals] an S
+   edge.  The kernel's count equals the closed form (and brute force on
+   small tables) at jobs {1,2,4}, cache on and off, width bound 0 and
+   default.  Past the width bound, and at width bound 0, the top
+   component splits; at the default bound every factor is single-slot
+   components the DP takes, so nothing conditions. *)
+let product_agrees (r_doms, t_doms, (rvals, tvals)) =
+  let edges =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) tvals) rvals
+  in
+  let db = path_instance_doms ~r_doms ~t_doms ~edges:(value_edges edges) in
+  let q = Query.Bcq path_query in
+  let want = biclique_closed_form ~r_doms ~t_doms (rvals, tvals) in
+  (* The nulls some edge value reaches form a K_{a,b} of width
+     min(a, b) + 1. *)
+  let reached doms vals =
+    List.length (List.filter (fun d -> List.exists (fun x -> x < d) vals) doms)
+  in
+  let past_bound =
+    min (reached r_doms rvals) (reached t_doms tvals)
+    >= Val_kernel.default_width_bound
+  in
+  (match edges with
+  | [ e ] -> Nat.equal want (one_edge_closed_form ~r_doms ~t_doms e)
+  | _ -> true)
+  && (Nat.compare (Idb.total_valuations db) (Nat.of_int 100_000) > 0
+     || Nat.equal want (brute q db))
+  && List.for_all
+       (fun width_bound ->
+         List.for_all
+           (fun cache_entries ->
+             List.for_all
+               (fun jobs ->
+                 let n, deltas =
+                   with_counters product_counters (fun () ->
+                       kernel ~width_bound ~cache_entries ~jobs q db)
+                 in
+                 let c name = List.assoc name deltas in
+                 Nat.equal want n
+                 && ((not (width_bound = 0 || past_bound))
+                    || c "val_kernel.product_splits" > 0)
+                 && (width_bound = 0 || c "val_kernel.conditioning_splits" = 0))
+               job_levels)
+           [ 0; Val_kernel.default_cache_entries ])
+       [ 0; Val_kernel.default_width_bound ]
+
+(* [k] nulls a side with domains of 3..5 values (the first null of each
+   side holds 5, so every value below 4 is mentioned), and the edge
+   values drawn below 4: one edge, two edges sharing an R or a T
+   endpoint, or a complete biclique of 2-3 values a side.  Past the
+   width bound k is 9..12; brute-checkable tables take k = 2..3. *)
+let product_gen =
+  QCheck.Gen.(
+    bool >>= fun big ->
+    let k = if big then int_range 9 12 else int_range 2 3 in
+    pair k k >>= fun (kr, kt) ->
+    let doms n = list_repeat n (int_range 3 5) >|= fun l -> 5 :: List.tl l in
+    pair (doms kr) (doms kt) >>= fun (r_doms, t_doms) ->
+    let vals n =
+      shuffle_l [ 0; 1; 2; 3 ] >|= List.filteri (fun i _ -> i < n)
+    in
+    int_range 0 3 >>= fun shape ->
+    (match shape with
+    | 0 -> pair (vals 1) (vals 1)
+    | 1 -> pair (vals 1) (vals 2)
+    | 2 -> pair (vals 2) (vals 1)
+    | _ -> pair (int_range 2 3) (int_range 2 3) >>= fun (a, b) ->
+      pair (vals a) (vals b))
+    >|= fun (rvals, tvals) ->
+    (r_doms, t_doms, (List.sort compare rvals, List.sort compare tvals)))
+
+let prop_product_agrees =
+  QCheck.Test.make ~count:30
+    ~name:
+      "product path tables = closed form, jobs {1,2,4} x cache x width bound"
+    (QCheck.make
+       ~print:(fun (r, t, (rv, tv)) ->
+         let ints l = String.concat "," (List.map string_of_int l) in
+         Printf.sprintf "R %s / T %s / edges {%s} x {%s}" (ints r) (ints t)
+           (ints rv) (ints tv))
+       product_gen)
+    product_agrees
+
+let testdata name =
+  match
+    List.find_opt Sys.file_exists
+      [ Filename.concat "../testdata" name; Filename.concat "testdata" name ]
+  with
+  | Some p -> p
+  | None -> Alcotest.fail ("cannot locate testdata file " ^ name)
+
+(* What the DP can take stays on the DP: overflow.idb's K_{6,6} one-edge
+   lineage is a product, but its width 7 is in bounds, so it is
+   eliminated (with Nat cells) and never split.  path_k14.idb's
+   K_{14,14} is past the bound and splits, with no conditioning. *)
+let test_product_testdata () =
+  let q = Query.Bcq path_query in
+  let run name =
+    with_counters product_counters (fun () ->
+        kernel q (Idb_parser.of_file (testdata name)))
+  in
+  let n, deltas = run "overflow.idb" in
+  let c name = List.assoc name deltas in
+  let side d k =
+    Nat.sub (Nat.pow (Nat.of_int d) k) (Nat.pow (Nat.of_int (d - 1)) k)
+  in
+  check_nat "overflow.idb = (40^6 - 39^6)^2"
+    (Nat.mul (side 40 6) (side 40 6))
+    n;
+  Alcotest.(check bool)
+    "overflow.idb: Nat cells" true
+    (c "val_kernel.nat_cells" >= 1);
+  Alcotest.(check bool) "overflow.idb: bags" true (c "val_kernel.bags" >= 1);
+  Alcotest.(check int)
+    "overflow.idb: not split" 0
+    (c "val_kernel.product_splits");
+  let n, deltas = run "path_k14.idb" in
+  let c name = List.assoc name deltas in
+  check_nat "path_k14.idb = (4^14 - 3^14)^2"
+    (Nat.mul (side 4 14) (side 4 14))
+    n;
+  Alcotest.(check bool)
+    "path_k14.idb: split" true
+    (c "val_kernel.product_splits" >= 1);
+  Alcotest.(check int) "path_k14.idb: no conditioning" 0
+    (c "val_kernel.conditioning_splits")
+
+(* ------------------------------------------------------------------ *)
 (* Cross-branch subproblem cache and the min-fill order                *)
 (* ------------------------------------------------------------------ *)
 
@@ -718,6 +872,12 @@ let () =
             test_factor_store_cells;
           Alcotest.test_case "one edge past 2^62 = closed form" `Quick
             test_overflow_closed_form;
+        ] );
+      ( "product",
+        [
+          Alcotest.test_case "testdata: in bounds stays on the DP" `Quick
+            test_product_testdata;
+          QCheck_alcotest.to_alcotest prop_product_agrees;
         ] );
       ( "cache",
         [
